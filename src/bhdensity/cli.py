@@ -271,6 +271,11 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="bhdensity", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    env_threads = os.environ.get("BHD_THREADS", "0")
+    try:
+        threads = int(env_threads) or None
+    except ValueError:
+        raise ValueError(f"BHD_THREADS must be an integer, got {env_threads!r}") from None
 
     def common(p, body=True):
         if body:
@@ -283,8 +288,7 @@ def make_parser() -> _Parser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--deterministic", action="store_true",
                        help="omit the timestamp for bitwise-reproducible reports")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("BHD_THREADS", "0")) or None)
+        p.add_argument("--threads", type=int, default=threads)
 
     p = sub.add_parser("section", help="cross-section polygon and area")
     common(p)
@@ -329,9 +333,8 @@ def make_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 from .bodies import AbsSumBody, Body, SmoothBody, ambient_dim, body_label
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
 from .geom import Plane2, _philox, gram_schmidt, random_planes, wedge
-from .sections import cross_section
+from .sections import cross_section, section_fan
 
 SQRT2 = np.sqrt(2.0)
 
@@ -398,7 +398,7 @@ def _scan_grid(axes, U, V, areas, w0_area, threads):
     g = axes.size
     n_planes = areas.size
     best = np.empty((g, g, g, g))
-    witness = np.empty((g, g, g, g), dtype=np.int16)
+    witness = np.empty((g, g, g, g), dtype=np.int32)
 
     B = axes[None, :, None, None]
     C = axes[None, None, :, None]
@@ -418,7 +418,7 @@ def _scan_grid(axes, U, V, areas, w0_area, threads):
         local_best = np.full((i1 - i0, g, g, g), -np.inf)
         for i in range(n_planes):
             np.maximum(local_best, plane_gap(i), out=local_best)
-        local_wit = np.zeros((i1 - i0, g, g, g), dtype=np.int16)
+        local_wit = np.zeros((i1 - i0, g, g, g), dtype=np.int32)
         assigned = np.zeros(local_best.shape, dtype=bool)
         for i in range(n_planes):
             hit = ~assigned & (plane_gap(i) >= local_best - _WITNESS_TIE)
@@ -440,46 +440,24 @@ def _scan_grid(axes, U, V, areas, w0_area, threads):
 
 
 def _make_area_fn(body: Body):
-    """Scalar section-area evaluator for orthonormal (u, v) plane bases.
+    """Batched section-area evaluator for orthonormal plane bases (rows of U, V).
 
-    Pure-Python fan-of-extreme-points evaluation for abs-sum bodies (the
-    maximizer calls this thousands of times); radial sampling otherwise.
+    Abs-sum bodies use the exact `section_fan` kernel (the maximizer calls
+    this thousands of times); other bodies are sampled radially.
     """
     if isinstance(body, AbsSumBody):
-        rows = [tuple(r) for r in body.functionals]
+        LT = body.functionals.T
 
-        def area_fn(u, v):
-            coeffs = [
-                (sum(ri * ui for ri, ui in zip(r, u)), sum(ri * vi for ri, vi in zip(r, v)))
-                for r in rows
-            ]
-            pts = []
-            for (a, b) in coeffs:
-                h = (a * a + b * b) ** 0.5
-                if h == 0.0:
-                    continue
-                for (dx, dy) in ((-b / h, a / h), (b / h, -a / h)):
-                    nd = sum(abs(aj * dx + bj * dy) for (aj, bj) in coeffs)
-                    if nd == 0.0:
-                        return 0.0
-                    r = 1.0 / nd
-                    pts.append((np.arctan2(dy, dx), r * dx, r * dy))
-            if len(pts) < 4:
-                return 0.0
-            pts.sort()
-            total = 0.0
-            _, px, py = pts[-1]
-            for (_, x, y) in pts:
-                total += px * y - x * py
-                px, py = x, y
-            return 0.5 * abs(total)
+        def area_fn(U, V):
+            return section_fan(U @ LT, V @ LT)[0]
 
     else:
 
-        def area_fn(u, v):
-            return cross_section(
-                body, Plane2(np.asarray(u), np.asarray(v)), radial_n=1024
-            ).euclidean_area
+        def area_fn(U, V):
+            return [
+                cross_section(body, Plane2(u, v), radial_n=1024).euclidean_area
+                for u, v in zip(U, V)
+            ]
 
     return area_fn
 
@@ -488,50 +466,67 @@ def _maximize_gap_at(point, start_planes, area_fn, w0_area, max_sweeps=200, stop
     """Coordinate descent on raw plane parameters, step-halving, <= max_sweeps.
 
     Maximizes lambda * area(plane) - w0_area over Gr(2, 4) starting from each
-    given plane; returns the best (gap, label-of-start).  When ``stop_above``
-    is given, later starts are skipped once the bound is cleared (the result
-    is a witness lower bound either way).
+    given plane; returns the best (gap, label-of-start).  Each coordinate's
+    +step and -step moves are scored in one area call, and the first
+    improving one is taken.  When ``stop_above`` is given, later starts are
+    skipped once the bound is cleared (the result is a witness lower bound
+    either way).
     """
     a, b, c, d = (float(t) for t in point)
 
-    def eval_raw(x):
-        # inline Gram-Schmidt in plain floats; degenerate spans score -inf
+    def frame(x):
+        # inline Gram-Schmidt in plain floats; None for degenerate spans
         ax, ay, az, aw = x[0], x[1], x[2], x[3]
         bx, by, bz, bw = x[4], x[5], x[6], x[7]
         na = (ax * ax + ay * ay + az * az + aw * aw) ** 0.5
         if na < 1e-12:
-            return -np.inf
+            return None
         ax, ay, az, aw = ax / na, ay / na, az / na, aw / na
         dot = ax * bx + ay * by + az * bz + aw * bw
         bx, by, bz, bw = bx - dot * ax, by - dot * ay, bz - dot * az, bw - dot * aw
         nb = (bx * bx + by * by + bz * bz + bw * bw) ** 0.5
         if nb < 1e-9:
-            return -np.inf
+            return None
         bx, by, bz, bw = bx / nb, by / nb, bz / nb, bw / nb
         pu0 = ax + a * az + b * aw
         pu1 = ay + c * az + d * aw
         pv0 = bx + a * bz + b * bw
         pv1 = by + c * bz + d * bw
-        lam = abs(pu0 * pv1 - pu1 * pv0)
-        if lam == 0.0:
-            return -w0_area
-        return lam * area_fn((ax, ay, az, aw), (bx, by, bz, bw)) - w0_area
+        return (ax, ay, az, aw), (bx, by, bz, bw), abs(pu0 * pv1 - pu1 * pv0)
+
+    def score(xs):
+        # degenerate spans score -inf, planes the projection collapses -w0_area
+        vals = [-np.inf] * len(xs)
+        live = []
+        for j, x in enumerate(xs):
+            fr = frame(x)
+            if fr is None:
+                continue
+            if fr[2] == 0.0:
+                vals[j] = -w0_area
+            else:
+                live.append((j, fr))
+        if live:
+            areas = area_fn(np.array([fr[0] for _, fr in live]), np.array([fr[1] for _, fr in live]))
+            for (j, fr), area in zip(live, areas):
+                vals[j] = fr[2] * float(area) - w0_area
+        return vals
 
     best_gap = -np.inf
     best_label = ""
     for label, plane in start_planes:
         x = list(plane.u) + list(plane.v)
-        val = eval_raw(x)
+        val = score([x])[0]
         if not np.isfinite(val):
             continue
         step = 0.2
         for _ in range(max_sweeps):
             improved = False
             for i in range(8):
-                for s in (step, -step):
-                    x2 = x.copy()
-                    x2[i] += s
-                    v2 = eval_raw(x2)
+                moves = [x.copy(), x.copy()]
+                moves[0][i] += step
+                moves[1][i] -= step
+                for x2, v2 in zip(moves, score(moves)):
                     if v2 > val + 1e-15:
                         x, val = x2, v2
                         improved = True

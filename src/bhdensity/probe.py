@@ -47,12 +47,8 @@ class ScanReport:
     mc_samples: int | None = None
 
 
-def shared_line_decomposition(seed: int, n: int, stream: int | None = None):
-    """Simple bivector triple (u^(v+t), u^v, u^t), normalized to |w| = 1.
-
-    The planes of the two parts share the line through u, so the sum is
-    simple too; degenerate draws are resampled from the same stream.
-    """
+def _shared_line_draw(seed: int, n: int, stream: int | None):
+    """Vectors (u, v, t) and the normalized triple (u^(v+t), u^v, u^t)."""
     if n not in (4, 6):
         raise DimensionMismatch("decomposition trials are drawn in dimension 4 or 6")
     gen = _philox(seed, stream)
@@ -68,33 +64,36 @@ def shared_line_decomposition(seed: int, n: int, stream: int | None = None):
             continue
         w1 = (1.0 / scale) * w1
         w2 = (1.0 / scale) * w2
-        return w1 + w2, w1, w2
+        return (u, v, t), (w1 + w2, w1, w2)
 
 
-def _triple_batch(seed: int, n: int, trials: int):
-    """All trial triples, one counter stream per trial index."""
-    return [shared_line_decomposition(seed, n, stream=i) for i in range(trials)]
+def shared_line_decomposition(seed: int, n: int, stream: int | None = None):
+    """Simple bivector triple (u^(v+t), u^v, u^t), normalized to |w| = 1.
+
+    The planes of the two parts share the line through u, so the sum is
+    simple too; degenerate draws are resampled from the same stream.
+    """
+    return _shared_line_draw(seed, n, stream)[1]
 
 
-def _phi_exact_batch(body: AbsSumBody, bivs: list[Bivector]) -> np.ndarray:
-    """Vectorized 2-densities for an abs-sum body (exact sections)."""
-    n = body.n
-    U = np.empty((len(bivs), n))
-    V = np.empty((len(bivs), n))
-    norms = np.empty(len(bivs))
-    iu = np.triu_indices(n, k=1)
-    for row, w in enumerate(bivs):
-        mat = np.zeros((n, n))
-        mat[iu] = w.coords
-        mat -= mat.T
-        col_norms = np.linalg.norm(mat, axis=0)
-        order = sorted(range(n), key=lambda j: (-col_norms[j], j))
-        plane = gram_schmidt(mat[:, order[0]], mat[:, order[1]])
-        U[row] = plane.u
-        V[row] = plane.v
-        norms[row] = w.norm
-    areas = abs_sum_section_areas(body.functionals, U, V)
-    return math.pi * norms / areas
+def _phi_exact_batch(body: AbsSumBody, seed: int, trials: int):
+    """Drawn triples and their exact 2-densities for an abs-sum body, shape (trials, 3).
+
+    The planes come straight from the drawn vectors: w, w1 and w2 span
+    (u, v+t), (u, v) and (u, t).
+    """
+    U = np.empty((trials, 3, 4))
+    V = np.empty((trials, 3, 4))
+    norms = np.empty((trials, 3))
+    triples = []
+    for i in range(trials):
+        (u, v, t), triple = _shared_line_draw(seed, 4, i)
+        for j, (b, w) in enumerate(zip((v + t, v, t), triple)):
+            plane = gram_schmidt(u, b)
+            U[i, j], V[i, j], norms[i, j] = plane.u, plane.v, w.norm
+        triples.append(triple)
+    areas = abs_sum_section_areas(body.functionals, U.reshape(-1, 4), V.reshape(-1, 4))
+    return triples, math.pi * norms / areas.reshape(-1, 3)
 
 
 def semi_ellipticity_scan(
@@ -111,11 +110,10 @@ def semi_ellipticity_scan(
     """
     n = ambient_dim(body)
     if n == 4:
-        triples = _triple_batch(seed, 4, trials)
         if isinstance(body, AbsSumBody):
-            flat = [biv for triple in triples for biv in triple]
-            phis = _phi_exact_batch(body, flat).reshape(-1, 3)
+            triples, phis = _phi_exact_batch(body, seed, trials)
         else:
+            triples = [shared_line_decomposition(seed, 4, stream=i) for i in range(trials)]
             phis = np.array(
                 [
                     [bh_density_2(body, w).value for w in triple]

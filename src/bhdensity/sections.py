@@ -1,14 +1,15 @@
 """Cross-sections of bodies with central 2-planes and their Euclidean areas.
 
-Polyhedral bodies get an exact polygon by clipping a generous bounding
-square against the 2^k half-planes obtained from all sign patterns of the
-restricted functionals.  Smooth bodies are sampled radially.  A vectorized
-fan-of-extreme-points evaluator (`abs_sum_section_areas`) serves the bulk
-scans; it is cross-checked against the clipping path in the test suite.
+Abs-sum bodies {x : sum_j |l_j(x)| <= 1} have one exact section kernel,
+`section_fan`.  Restricted to a plane, the gauge bends only on the kink
+rays where some restricted functional vanishes, so the section polygon's
+vertices are the gauge-normalized points on those rays sorted by angle:
+O(k^2) work for k functionals.  `cross_section`, `abs_sum_section_areas`
+and the contraction maximizer all call it.  Smooth bodies are sampled
+radially.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -67,84 +68,40 @@ def section_constraints(body: AbsSumBody, plane: Plane2) -> np.ndarray:
     return np.column_stack((body.functionals @ plane.u, body.functionals @ plane.v))
 
 
-def _clip_halfplane(poly, nx, ny, rhs):
-    """Keep the side nx*x + ny*y <= rhs of a convex polygon (vertex loop)."""
-    out = []
-    m = len(poly)
-    if m == 0:
-        return out
-    px, py = poly[-1]
-    pin = nx * px + ny * py <= rhs
-    for cx, cy in poly:
-        cin = nx * cx + ny * cy <= rhs
-        if cin != pin:
-            dx, dy = cx - px, cy - py
-            denom = nx * dx + ny * dy
-            t = (rhs - (nx * px + ny * py)) / denom
-            out.append((px + t * dx, py + t * dy))
-        if cin:
-            out.append((cx, cy))
-        px, py, pin = cx, cy, cin
-    return out
+def section_fan(A: np.ndarray, Bc: np.ndarray):
+    """Exact sections {(x, y) : sum_j |A_j x + Bc_j y| <= 1} for a batch of planes.
 
-
-def _prune_vertices(poly):
-    """Drop duplicate and collinear vertices (absolute tolerances)."""
-    tol = TOL.vertex_prune
-    # duplicates
-    kept = []
-    for x, y in poly:
-        if kept and abs(x - kept[-1][0]) < tol and abs(y - kept[-1][1]) < tol:
-            continue
-        kept.append((x, y))
-    if len(kept) > 1 and abs(kept[0][0] - kept[-1][0]) < tol and abs(kept[0][1] - kept[-1][1]) < tol:
-        kept.pop()
-    # collinear middles, by triangle area
-    changed = True
-    while changed and len(kept) >= 3:
-        changed = False
-        m = len(kept)
-        for i in range(m):
-            ax, ay = kept[i - 1]
-            bx, by = kept[i]
-            cx, cy = kept[(i + 1) % m]
-            area2 = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-            if 0.5 * area2 < tol:
-                kept.pop(i)
-                changed = True
-                break
-    return kept
-
-
-def _exact_abs_sum_section(body: AbsSumBody, plane: Plane2):
-    coeffs = section_constraints(body, plane)
-    nz = coeffs[np.linalg.norm(coeffs, axis=1) > 0.0]
-    if nz.shape[0] == 0 or np.linalg.matrix_rank(nz, tol=1e-12) < 2:
+    A and Bc hold the restricted functionals c_j = (a_j, b_j), one plane per
+    row.  With cross_ij = a_i b_j - b_i a_j, the gauge on the kink ray of c_i
+    is N((-b_i, a_i)) = sum_j |cross_ij|, so that ray meets the boundary at
+    (-b_i, a_i) / N((-b_i, a_i)).  Every functional takes the point of the
+    first nonvanishing functional parallel to it, so parallel and vanishing
+    functionals repeat a point exactly.  Returns (areas, z, keep): the 2k
+    boundary points of each plane as complex numbers x + iy sorted by angle,
+    and the mask of the first copy of each point, which are the polygon's
+    vertices, counterclockwise.  Raises UnboundedSection when some plane's
+    functionals do not span its dual.
+    """
+    B, k = A.shape
+    C = A + 1j * Bc
+    h = np.abs(C)
+    live = h > 0.0
+    cross = np.abs((C.conj()[:, :, None] * C[:, None, :]).imag)  # Im(conj(c_i) c_j) = cross_ij
+    parallel = (cross <= TOL.geometric * h[:, :, None] * h[:, None, :]) & live[:, :, None]
+    rep = parallel.argmax(axis=1)
+    lead = (rep == np.arange(k)) & live
+    if (lead.sum(axis=1) < 2).any():
         raise UnboundedSection("functionals restricted to the plane do not span")
-    # section circumradius: the extreme points sit on the kink rays
-    dirs = np.column_stack((-nz[:, 1], nz[:, 0]))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    support = np.abs(dirs @ coeffs.T).sum(axis=1)
-    if np.any(support <= 0.0):
-        raise UnboundedSection("plane contains a direction annihilated by all functionals")
-    half = 2.0 * float((1.0 / support).max())
-
-    poly = [(-half, -half), (half, -half), (half, half), (-half, half)]
-    k = coeffs.shape[0]
-    for signs in iter_product((1.0, -1.0), repeat=k):
-        nx = float(np.dot(signs, coeffs[:, 0]))
-        ny = float(np.dot(signs, coeffs[:, 1]))
-        if abs(nx) < 1e-300 and abs(ny) < 1e-300:
-            continue
-        poly = _clip_halfplane(poly, nx, ny, 1.0)
-        if not poly:
-            raise UnboundedSection("clipping emptied the section polygon")
-    poly = _prune_vertices(poly)
-    for x, y in poly:
-        if max(abs(x), abs(y)) >= half * (1.0 - 1e-9):
-            raise UnboundedSection("bounding square vertices survived clipping")
-    polygon = Polygon2(np.asarray(poly))
-    return SectionReport(polygon, polygon.area, "exact-halfplane")
+    gauge = cross.sum(axis=2)
+    rows = np.arange(B)[:, None]
+    z = 1j * C[rows, rep] / gauge[rows, rep]
+    z = np.concatenate((z, -z), axis=1)
+    order = np.argsort(np.arctan2(z.imag, z.real), axis=1, kind="stable")
+    z = z[rows, order]
+    keep = np.concatenate((lead, lead), axis=1)[rows, order]
+    # shoelace sum over the closed cycle of sorted points
+    twice = (z[:, :-1].conj() * z[:, 1:]).imag.sum(axis=1) + (z[:, -1].conj() * z[:, 0]).imag
+    return 0.5 * np.abs(twice), z, keep
 
 
 def _radial_section(body: Body, plane: Plane2, n_angles: int):
@@ -169,7 +126,10 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
     if body.n != plane.n:
         raise DimensionMismatch("body and plane dimensions differ")
     if isinstance(body, AbsSumBody):
-        return _exact_abs_sum_section(body, plane)
+        coeffs = section_constraints(body, plane)
+        areas, z, keep = section_fan(coeffs[None, :, 0], coeffs[None, :, 1])
+        polygon = Polygon2(np.column_stack((z.real[keep], z.imag[keep])))
+        return SectionReport(polygon, float(areas[0]), "exact-halfplane")
     if body.kind == "product":
         nl = ambient_dim(body.left)
         tail = max(np.abs(plane.u[nl:]).max(initial=0.0), np.abs(plane.v[nl:]).max(initial=0.0))
@@ -181,47 +141,11 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
 def abs_sum_section_areas(functionals: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Exact section areas for one abs-sum body over a batch of planes.
 
-    U, V hold orthonormal plane bases row-wise.  The section polygon's
-    vertices all lie on the rays where some restricted functional vanishes,
-    so the area is the shoelace sum over those boundary points sorted by
-    angle.  Agrees with the clipping path to machine precision and is used
-    by the high-volume scans.
+    U, V hold orthonormal plane bases row-wise.  This is the `section_fan`
+    kernel on the restricted functionals, so the areas equal those of
+    `cross_section` on the same planes.
     """
     L = np.asarray(functionals, dtype=float)
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
-    A = U @ L.T  # (B, k)
-    Bc = V @ L.T
-    B, k = A.shape
-
-    dx = -Bc.copy()
-    dy = A.copy()
-    norms = np.hypot(dx, dy)
-    degenerate = norms < 1e-300
-    if np.any(degenerate):
-        # a vanishing restricted functional has no kink; any direction works
-        # because every support point 1/N(d) lies on the boundary
-        dx[degenerate] = 1.0
-        dy[degenerate] = 0.0
-        norms[degenerate] = 1.0
-    dx /= norms
-    dy /= norms
-
-    allx = np.concatenate((dx, -dx), axis=1)  # (B, 2k)
-    ally = np.concatenate((dy, -dy), axis=1)
-    # N(d) = sum_j |a_j d_x + b_j d_y| for each candidate direction
-    Nd = np.abs(allx[:, :, None] * A[:, None, :] + ally[:, :, None] * Bc[:, None, :]).sum(axis=2)
-    if np.any(Nd <= 0.0):
-        raise UnboundedSection("some plane in the batch yields an unbounded section")
-    r = 1.0 / Nd
-    px = r * allx
-    py = r * ally
-    order = np.argsort(np.arctan2(ally, allx), axis=1, kind="stable")
-    px = np.take_along_axis(px, order, axis=1)
-    py = np.take_along_axis(py, order, axis=1)
-    areas = 0.5 * np.abs(
-        (px * np.roll(py, -1, axis=1)).sum(axis=1) - (py * np.roll(px, -1, axis=1)).sum(axis=1)
-    )
-    if np.any(areas < 1e-12):
-        raise UnboundedSection("degenerate plane restriction in the batch")
-    return areas
+    return section_fan(U @ L.T, V @ L.T)[0]

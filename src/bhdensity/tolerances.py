@@ -12,7 +12,6 @@ from dataclasses import dataclass
 @dataclass
 class Tolerances:
     geometric: float = 1e-12        # orthonormality, convexity, area identities
-    vertex_prune: float = 1e-12     # duplicate vertices / collinear triangle area
     span_defect: float = 1e-12      # relative Gram defect below which a span is degenerate
     simplicity_rel: float = 1e-9    # relative Plucker defect accepted as "simple"
     resample_defect: float = 1e-9   # random draws closer than this get redrawn

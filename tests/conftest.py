@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -57,3 +58,42 @@ def gram_route(pu: np.ndarray, pv: np.ndarray) -> float:
         return 0.0
     resid = pv - (np.dot(pu, pv) / g11) * pu
     return math.sqrt(g11) * float(np.linalg.norm(resid))
+
+
+def _clip_halfplane(poly, nx, ny, rhs):
+    """Keep the side nx*x + ny*y <= rhs of a convex polygon (vertex loop)."""
+    out = []
+    if not poly:
+        return out
+    px, py = poly[-1]
+    pin = nx * px + ny * py <= rhs
+    for cx, cy in poly:
+        cin = nx * cx + ny * cy <= rhs
+        if cin != pin:
+            dx, dy = cx - px, cy - py
+            t = (rhs - (nx * px + ny * py)) / (nx * dx + ny * dy)
+            out.append((px + t * dx, py + t * dy))
+        if cin:
+            out.append((cx, cy))
+        px, py, pin = cx, cy, cin
+    return out
+
+
+def clipped_section_area(functionals, plane: bh.Plane2) -> float:
+    """Independent oracle for abs-sum section areas, exponential in k.
+
+    {sum_j |l_j| <= 1} is the intersection of the half-planes
+    {sum_j s_j l_j <= 1} over all sign vectors s, so clip a square that
+    holds the section against each of them.  The gauge is at least
+    sigma_min |x| for the least singular value of the restricted
+    functionals, which bounds the section by the disc of radius 1/sigma_min.
+    """
+    L = np.asarray(functionals, dtype=float)
+    coeffs = np.column_stack((L @ plane.u, L @ plane.v))
+    half = 2.0 / np.linalg.svd(coeffs, compute_uv=False)[-1]
+    poly = [(-half, -half), (half, -half), (half, half), (-half, half)]
+    for signs in product((1.0, -1.0), repeat=coeffs.shape[0]):
+        nx, ny = np.dot(signs, coeffs)
+        if nx != 0.0 or ny != 0.0:
+            poly = _clip_halfplane(poly, nx, ny, 1.0)
+    return bh.shoelace_area(poly)

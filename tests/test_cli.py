@@ -76,6 +76,12 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["section", "--body", "rotated-cross4", "--plane", "zzz"]) == 1
 
 
+def test_non_integer_thread_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("BHD_THREADS", "two")
+    assert main(["section", "--body", "rotated-cross4", "--plane", "w0"]) == 1
+    assert capsys.readouterr().err.startswith("error: BHD_THREADS")
+
+
 def test_reports_bitwise_identical(tmp_path):
     # identical config (including the output path) => identical bytes
     args = ["section", "--body", "rotated-cross4", "--plane", "v1:0.05"]

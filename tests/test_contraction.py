@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
+import bhdensity.contraction as contraction
 from bhdensity._jsonfmt import dumps
 from conftest import C1_V1V2, C2_V3V4, SQRT2, V9_GAP, W0_AREA, gram_route
 
@@ -198,3 +199,14 @@ def test_certificate_parameter_validation(body_c):
         bh.certify_no_contraction(body_c, grid_n=5)
     with pytest.raises(ValueError):
         bh.certify_no_contraction(body_c, eps_set=(0.3,))
+
+def test_scan_grid_witness_beyond_int16():
+    # 32,769 copies of w0 with growing areas: the last plane is every cell's witness
+    n_planes = 32_769
+    U = np.tile([1.0, 0.0, 0.0, 0.0], (n_planes, 1))
+    V = np.tile([0.0, 1.0, 0.0, 0.0], (n_planes, 1))
+    areas = np.arange(1.0, n_planes + 1.0)
+    axes = np.array([-1.0, 1.0])
+    best, witness = contraction._scan_grid(axes, U, V, areas, 0.5, threads=1)
+    assert np.all(witness == n_planes - 1)
+    assert best.shape == (2, 2, 2, 2)

@@ -5,7 +5,7 @@ import pytest
 
 import bhdensity as bh
 import bhdensity.sections as sections
-from conftest import SQRT2, W0_AREA, embed_plane, random_abs_sum_body
+from conftest import SQRT2, W0_AREA, clipped_section_area, embed_plane, random_abs_sum_body
 
 
 def test_w0_constraints(body_c):
@@ -49,7 +49,11 @@ def test_v9_section_area(body_c):
 
 
 def test_cross_polytope_coordinate_section(body_o):
-    assert abs(bh.cross_section(body_o, bh.w0_plane(4)).euclidean_area - 2.0) < 1e-12
+    # e3 and e4 vanish on span(e1, e2): the section is the square |x| + |y| <= 1
+    rep = bh.cross_section(body_o, bh.w0_plane(4))
+    assert abs(rep.euclidean_area - 2.0) < 1e-12
+    assert len(rep.polygon.vertices) == 4
+    assert np.abs(np.abs(rep.polygon.vertices).sum(axis=1) - 1.0).max() < 1e-15
 
 
 def test_euclidean_ball_section(ball4):
@@ -112,9 +116,11 @@ def test_batch_areas_match_clipping():
     for seed in range(60):
         body = random_abs_sum_body(seed)
         pl = bh.random_plane(seed, 4)
+        oracle = clipped_section_area(body.functionals, pl)
         exact = bh.cross_section(body, pl).euclidean_area
         fast = bh.abs_sum_section_areas(body.functionals, pl.u[None, :], pl.v[None, :])[0]
-        assert abs(exact - fast) < 1e-12 * exact
+        assert abs(exact - oracle) < 1e-12 * oracle
+        assert abs(fast - oracle) < 1e-12 * oracle
 
 
 def test_batch_areas_vectorized(body_c):
@@ -123,7 +129,44 @@ def test_batch_areas_vectorized(body_c):
     V = np.array([p.v for p in planes])
     areas = bh.abs_sum_section_areas(body_c.functionals, U, V)
     for k in (0, 17, 127):
-        assert abs(areas[k] - bh.cross_section(body_c, planes[k]).euclidean_area) < 1e-12
+        assert abs(areas[k] - clipped_section_area(body_c.functionals, planes[k])) < 1e-12
+
+
+def _assert_distinct_vertices(vertices):
+    gaps = np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_parallel_functionals_merged(body_c, seed):
+    # a repeated row, an opposite row and a multiple all add to one kink ray,
+    # so each body equals the one with that row scaled by the summed weight
+    L = body_c.functionals
+    pl = bh.random_plane(seed, 4)
+    for extra, weight in ((L[1], 2.0), (-L[1], 2.0), (3.0 * L[1], 4.0)):
+        grown = bh.cross_section(bh.AbsSumBody(np.vstack((L, extra))), pl)
+        scaled = L.copy()
+        scaled[1] *= weight
+        merged = bh.cross_section(bh.AbsSumBody(scaled), pl)
+        assert abs(grown.euclidean_area - merged.euclidean_area) < 1e-14 * merged.euclidean_area
+        assert len(grown.polygon.vertices) == len(merged.polygon.vertices) == 8
+        _assert_distinct_vertices(grown.polygon.vertices)
+        oracle = clipped_section_area(np.vstack((L, extra)), pl)
+        assert abs(grown.euclidean_area - oracle) < 1e-12 * oracle
+
+
+def test_many_functionals_section():
+    # 2^24 sign patterns: only a polynomial kernel returns here
+    L = np.random.default_rng(24).standard_normal((24, 4))
+    body = bh.AbsSumBody(L)
+    for i in range(3):
+        pl = bh.random_plane(24, 4, stream=i)
+        rep = bh.cross_section(body, pl)
+        radial = sections._radial_section(body, pl, 4096).euclidean_area
+        assert abs(rep.euclidean_area - radial) <= 5e-6 * rep.euclidean_area
+        assert len(rep.polygon.vertices) == 48
+        _assert_distinct_vertices(rep.polygon.vertices)
 
 
 def test_product_plane_delegation(body_c):
