@@ -18,7 +18,7 @@ import numpy as np
 
 from .bodies import AbsSumBody, Body, SmoothBody, ambient_dim, body_label
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
-from .geom import Plane2, _philox, gram_schmidt, random_planes, wedge
+from .geom import Plane2, _philox, gram_schmidt, random_planes
 from .sections import cross_section, section_fan
 
 SQRT2 = np.sqrt(2.0)
@@ -114,9 +114,24 @@ def w0_plane(n: int = 4) -> Plane2:
     return Plane2(u, v)
 
 
+def _area_factors(a, b, c, d, u, v):
+    """|pi(u) ^ pi(v)| for the projection with block [[a, b], [c, d]].
+
+    ``u`` and ``v`` are unpacked along their first axis, so they may be
+    4-tuples, 4-vectors or (4, n_planes) tables; the parameters broadcast
+    against them.
+    """
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return abs((u0 + a * u2 + b * u3) * (v1 + c * v2 + d * v3)
+               - (v0 + a * v2 + b * v3) * (u1 + c * u2 + d * u3))
+
+
 def area_factor(p: ProjectionW0, plane: Plane2) -> float:
     """Euclidean 2-area scaling factor |pi(u) ^ pi(v)| of the projection."""
-    return wedge(p.apply(plane.u), p.apply(plane.v)).norm
+    if plane.n < 4:
+        raise DimensionMismatch("projection family needs dimension >= 4")
+    return float(_area_factors(p.a, p.b, p.c, p.d, plane.u[:4], plane.v[:4]))
 
 
 def contraction_gap(
@@ -376,17 +391,31 @@ def _plane_tables(body: Body, planes):
     return areas, U, V
 
 
-def _gaps_at_points(points: np.ndarray, U, V, areas, w0_area) -> np.ndarray:
-    """Gap matrix (n_points, n_planes) for parameter points (a, b, c, d)."""
-    a, b, c, d = (points[:, i][:, None] for i in range(4))
-    P = U[None, :, 0] + a * U[None, :, 2] + b * U[None, :, 3]
-    R = V[None, :, 0] + a * V[None, :, 2] + b * V[None, :, 3]
-    Q = V[None, :, 1] + c * V[None, :, 2] + d * V[None, :, 3]
-    S = U[None, :, 1] + c * U[None, :, 2] + d * U[None, :, 3]
-    return np.abs(P * Q - R * S) * areas[None, :] - w0_area
-
-
 _WITNESS_TIE = 1e-12
+
+
+def _best_gaps(A, B, C, D, U, V, areas, w0_area):
+    """Best gap over the planes and the first plane within tie tolerance of it.
+
+    The parameters A, B, C, D broadcast against each other; U, V hold one
+    plane per row.  The planes are visited twice (the max, then the
+    witness), so no (points, planes) matrix is built.
+    """
+
+    def gaps(i):
+        return _area_factors(A, B, C, D, U[i], V[i]) * areas[i] - w0_area
+
+    best = gaps(0)
+    for i in range(1, areas.size):
+        np.maximum(best, gaps(i), out=best)
+    floor = best - _WITNESS_TIE
+    witness = np.zeros(best.shape, dtype=np.int32)
+    assigned = np.zeros(best.shape, dtype=bool)
+    for i in range(areas.size):
+        hit = ~assigned & (gaps(i) >= floor)
+        witness[hit] = i
+        assigned |= hit
+    return best, witness
 
 
 def _scan_grid(axes, U, V, areas, w0_area, threads):
@@ -396,7 +425,6 @@ def _scan_grid(axes, U, V, areas, w0_area, threads):
     disjoint slabs so the result is independent of scheduling.
     """
     g = axes.size
-    n_planes = areas.size
     best = np.empty((g, g, g, g))
     witness = np.empty((g, g, g, g), dtype=np.int32)
 
@@ -406,26 +434,7 @@ def _scan_grid(axes, U, V, areas, w0_area, threads):
 
     def do_slab(i0, i1):
         A = axes[i0:i1, None, None, None]
-
-        def plane_gap(i):
-            u, v = U[i], V[i]
-            P = u[0] + A * u[2] + B * u[3]
-            R = v[0] + A * v[2] + B * v[3]
-            Q = v[1] + C * v[2] + D * v[3]
-            S = u[1] + C * u[2] + D * u[3]
-            return np.abs(P * Q - R * S) * areas[i] - w0_area
-
-        local_best = np.full((i1 - i0, g, g, g), -np.inf)
-        for i in range(n_planes):
-            np.maximum(local_best, plane_gap(i), out=local_best)
-        local_wit = np.zeros((i1 - i0, g, g, g), dtype=np.int32)
-        assigned = np.zeros(local_best.shape, dtype=bool)
-        for i in range(n_planes):
-            hit = ~assigned & (plane_gap(i) >= local_best - _WITNESS_TIE)
-            local_wit[hit] = i
-            assigned |= hit
-        best[i0:i1] = local_best
-        witness[i0:i1] = local_wit
+        best[i0:i1], witness[i0:i1] = _best_gaps(A, B, C, D, U, V, areas, w0_area)
 
     workers = threads or os.cpu_count() or 1
     bounds = np.linspace(0, g, min(workers, g) + 1).astype(int)
@@ -487,12 +496,9 @@ def _maximize_gap_at(point, start_planes, area_fn, w0_area, max_sweeps=200, stop
         nb = (bx * bx + by * by + bz * bz + bw * bw) ** 0.5
         if nb < 1e-9:
             return None
-        bx, by, bz, bw = bx / nb, by / nb, bz / nb, bw / nb
-        pu0 = ax + a * az + b * aw
-        pu1 = ay + c * az + d * aw
-        pv0 = bx + a * bz + b * bw
-        pv1 = by + c * bz + d * bw
-        return (ax, ay, az, aw), (bx, by, bz, bw), abs(pu0 * pv1 - pu1 * pv0)
+        fu = (ax, ay, az, aw)
+        fv = (bx / nb, by / nb, bz / nb, bw / nb)
+        return fu, fv, _area_factors(a, b, c, d, fu, fv)
 
     def score(xs):
         # degenerate spans score -inf, planes the projection collapses -w0_area
@@ -590,7 +596,7 @@ def certify_no_contraction(
     grid_min_witness = labels[int(witness[ii])]
 
     def fail_at(point, max_gap, reason):
-        gaps = _gaps_at_points(np.asarray([point]), U, V, areas, w0_area)[0]
+        gaps = _area_factors(*point, U.T, V.T) * areas - w0_area
         raise CertificateFailed(point, max_gap, dict(zip(labels, gaps.tolist())), reason)
 
     if grid_min_gap <= gap_threshold:
@@ -627,15 +633,9 @@ def certify_no_contraction(
     centers = axes[centers]
     refined_points = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 4)
     refined_points = np.unique(refined_points, axis=0)
-    refined_best = np.full(refined_points.shape[0], -np.inf)
-    refined_wit = np.zeros(refined_points.shape[0], dtype=np.int32)
-    chunk = 1 << 16
-    for lo in range(0, refined_points.shape[0], chunk):
-        pts = refined_points[lo : lo + chunk]
-        gaps = _gaps_at_points(pts, U, V, areas, w0_area)
-        mx = gaps.max(axis=1)
-        refined_best[lo : lo + chunk] = mx
-        refined_wit[lo : lo + chunk] = (gaps >= mx[:, None] - _WITNESS_TIE).argmax(axis=1)
+    refined_best, refined_wit = _best_gaps(
+        *np.ascontiguousarray(refined_points.T), U, V, areas, w0_area
+    )
 
     # --- maximizer lift on every refined point that could drag the global
     # minimum below the sharpened worst-cell value (capped for safety)
@@ -696,22 +696,14 @@ def certify_no_contraction(
     # --- exterior: 2^8 sign-pattern rays from the box boundary to 10R
     rays = _exterior_rays(seed, box_halfwidth)
     radii_factors = 10.0 ** (np.arange(8) / 7.0)
-    exterior_min_step = np.inf
-    monotone = True
-    bad_point = None
-    for ray in rays:
-        pts = ray[None, :] * radii_factors[:, None]
-        mx = _gaps_at_points(pts, U, V, areas, w0_area).max(axis=1)
-        steps = np.diff(mx)
-        if steps.size:
-            exterior_min_step = min(exterior_min_step, float(steps.min()))
-        if np.any(steps < -1e-9):
-            monotone = False
-            k = int(np.argmax(steps < -1e-9))
-            bad_point = tuple(float(t) for t in pts[k + 1])
-            break
+    pts = rays[:, None, :] * radii_factors[None, :, None]
+    mx, _ = _best_gaps(*np.moveaxis(pts, -1, 0), U, V, areas, w0_area)
+    steps = np.diff(mx, axis=1)
+    falling = steps < -1e-9
+    monotone = not falling.any()
     if not monotone:
-        fail_at(bad_point, 0.0, "exterior ray not monotone")
+        r, k = np.unravel_index(int(np.argmax(falling)), falling.shape)
+        fail_at(tuple(float(t) for t in pts[r, k + 1]), 0.0, "exterior ray not monotone")
 
     witness_labels, witness_freq = np.unique(witness, return_counts=True)
     counts = {labels[int(w)]: int(c) for w, c in zip(witness_labels, witness_freq)}
@@ -748,7 +740,7 @@ def certify_no_contraction(
             "rays": len(rays),
             "radii_factors": radii_factors.tolist(),
             "monotone": monotone,
-            "min_step": float(exterior_min_step),
+            "min_step": float(steps.min()),
         },
         witness_counts=counts,
         runtime_seconds=time.perf_counter() - t0,

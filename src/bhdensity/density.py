@@ -112,6 +112,8 @@ def mc_section_volume(
     are keyed by (seed, chunk index), so the result is independent of any
     parallel scheduling of the chunks.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     m = basis.shape[1]
     _, r_out = body_radius_bounds(body)
     box = (2.0 * r_out) ** m

@@ -108,6 +108,8 @@ def semi_ellipticity_scan(
     slack, the worst trial and the violation count; for n = 6 the stored
     trial bivectors are the Hodge duals of the tested multivectors.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = ambient_dim(body)
     if n == 4:
         if isinstance(body, AbsSumBody):

@@ -82,6 +82,24 @@ def test_non_integer_thread_env_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: BHD_THREADS")
 
 
+def test_gap_below_dimension_four_is_error(capsys):
+    assert main(["gap", "--body", "euclid-n", "--n", "3", "--proj", "0,0,0,0", "--plane", "w0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_codim2_zero_samples_is_error(capsys):
+    args = ["density", "--body", "cross4", "--bivector", "1,0,0,0,0,0", "--codim2"]
+    assert main(args + ["--mc-samples", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_probe_zero_trials_is_error(capsys):
+    for body in (["--body", "cross4"], ["--body", "complex-lp", "--p", "2", "--k", "3"]):
+        assert main(["probe", *body, "--trials", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "trials" in err
+
+
 def test_reports_bitwise_identical(tmp_path):
     # identical config (including the output path) => identical bytes
     args = ["section", "--body", "rotated-cross4", "--plane", "v1:0.05"]

@@ -56,6 +56,21 @@ def test_area_factor_gram_oracle():
         pu, pv = p.apply(plane.u), p.apply(plane.v)
         lam = bh.area_factor(p, plane)
         assert abs(lam - gram_route(pu, pv)) < 1e-12
+    # planes in R^5 and R^6 (product bodies) project through their first four coordinates
+    for n in (5, 6):
+        for i in range(200):
+            p = bh.ProjectionW0(*gen.uniform(-4, 4, 4))
+            plane = bh.random_plane(23, n, stream=i)
+            pu, pv = p.apply(plane.u[:4]), p.apply(plane.v[:4])
+            assert abs(bh.area_factor(p, plane) - gram_route(pu, pv)) < 1e-12
+
+
+def test_area_factor_needs_dimension_four():
+    ball3 = bh.make_euclidean_ball(3)
+    with pytest.raises(bh.DimensionMismatch):
+        bh.area_factor(bh.ProjectionW0(), bh.w0_plane(3))
+    with pytest.raises(bh.DimensionMismatch):
+        bh.contraction_gap(ball3, bh.ProjectionW0(), bh.w0_plane(3))
 
 
 def test_contraction_gap_examples(body_c):
@@ -210,3 +225,29 @@ def test_scan_grid_witness_beyond_int16():
     best, witness = contraction._scan_grid(axes, U, V, areas, 0.5, threads=1)
     assert np.all(witness == n_planes - 1)
     assert best.shape == (2, 2, 2, 2)
+
+
+def test_scan_grid_matches_brute_force_with_duplicate_plane():
+    # plane 3 repeats plane 0 exactly, so every cell either plane wins ties at index 0
+    planes = [
+        bh.named_plane(9),
+        bh.named_plane(1, 0.1),
+        bh.random_plane(3, 4, stream=0),
+        bh.named_plane(9),
+        bh.random_plane(3, 4, stream=1),
+    ]
+    areas = np.array([1.3, 1.0, 0.9, 1.3, 1.1])
+    U = np.array([pl.u for pl in planes])
+    V = np.array([pl.v for pl in planes])
+    axes = np.linspace(-1.5, 1.5, 5)
+    w0_area = 1.2
+    best, witness = contraction._scan_grid(axes, U, V, areas, w0_area, threads=2)
+    for idx in np.ndindex(best.shape):
+        p = bh.ProjectionW0(*axes[list(idx)])
+        gaps = [bh.area_factor(p, pl) * ar - w0_area for pl, ar in zip(planes, areas)]
+        top = max(gaps)
+        first = next(i for i, g in enumerate(gaps) if g >= top - contraction._WITNESS_TIE)
+        assert best[idx] == top
+        assert witness[idx] == first
+    assert np.any(witness == 0)
+    assert not np.any(witness == 3)
