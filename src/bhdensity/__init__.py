@@ -82,6 +82,7 @@ from .sections import (
     SectionReport,
     abs_sum_section_areas,
     cross_section,
+    section_areas,
     section_constraints,
     shoelace_area,
 )

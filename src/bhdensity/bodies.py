@@ -132,21 +132,13 @@ def make_product(left: Body, m: int) -> SmoothBody:
     """Product body left x B_2^m; the gauge is the max of the factor gauges."""
     if m < 1:
         raise DimensionMismatch("euclidean factor dimension must be >= 1")
-    n = ambient_dim(left) + m
+    n = left.n + m
     if n > MAX_DIM:
         raise DimensionMismatch(f"product dimension {n} exceeds {MAX_DIM}")
     body = SmoothBody(kind="product", n=n, left=left, m=int(m),
-                      label=f"product({body_label(left)},{m})")
+                      label=f"product({left.label},{m})")
     _spot_check_homogeneity(body)
     return body
-
-
-def ambient_dim(body: Body) -> int:
-    return body.n
-
-
-def body_label(body: Body) -> str:
-    return body.label
 
 
 def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
@@ -164,7 +156,7 @@ def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
             return mods.sum(axis=1)
         return (mods**body.p).sum(axis=1) ** (1.0 / body.p)
     # product
-    nl = ambient_dim(body.left)
+    nl = body.left.n
     left_val = minkowski_many(body.left, X[:, :nl])
     right_val = np.linalg.norm(X[:, nl:], axis=1)
     return np.maximum(left_val, right_val)

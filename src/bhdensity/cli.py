@@ -73,7 +73,7 @@ def build_body(args) -> Body:
     if name == "rotated-cross4":
         return make_rotated_cross_polytope()
     if name == "euclid-n":
-        return make_euclidean_ball(getattr(args, "n", None) or 4)
+        return make_euclidean_ball(4 if args.n is None else args.n)
     if name == "complex-lp":
         p = getattr(args, "p", None)
         k = getattr(args, "k", None)
@@ -81,7 +81,7 @@ def build_body(args) -> Body:
             raise UsageError("complex-lp requires --p and --k")
         return make_complex_lp(p, k)
     if name == "product-c-b":
-        m = getattr(args, "euclidean_dim", None) or 1
+        m = 1 if args.euclidean_dim is None else args.euclidean_dim
         return make_product(make_rotated_cross_polytope(), m)
     raise UsageError(
         f"unknown body {name!r}; use cross4 | rotated-cross4 | euclid-n | "

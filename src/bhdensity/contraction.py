@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import AbsSumBody, Body, SmoothBody, ambient_dim, body_label
+from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
 from .geom import Plane2, _philox, gram_schmidt, random_planes
-from .sections import cross_section, section_fan
+from .sections import cross_section, section_areas
 
 SQRT2 = np.sqrt(2.0)
 
@@ -340,7 +340,7 @@ class Certificate:
 
 def _reduce_to_r4(body: Body) -> Body:
     """Product bodies with a 4-dim left factor certify through that factor."""
-    if isinstance(body, SmoothBody) and body.kind == "product" and ambient_dim(body.left) == 4:
+    if isinstance(body, SmoothBody) and body.kind == "product" and body.left.n == 4:
         return body.left
     return body
 
@@ -448,30 +448,7 @@ def _scan_grid(axes, U, V, areas, w0_area, threads):
     return best, witness
 
 
-def _make_area_fn(body: Body):
-    """Batched section-area evaluator for orthonormal plane bases (rows of U, V).
-
-    Abs-sum bodies use the exact `section_fan` kernel (the maximizer calls
-    this thousands of times); other bodies are sampled radially.
-    """
-    if isinstance(body, AbsSumBody):
-        LT = body.functionals.T
-
-        def area_fn(U, V):
-            return section_fan(U @ LT, V @ LT)[0]
-
-    else:
-
-        def area_fn(U, V):
-            return [
-                cross_section(body, Plane2(u, v), radial_n=1024).euclidean_area
-                for u, v in zip(U, V)
-            ]
-
-    return area_fn
-
-
-def _maximize_gap_at(point, start_planes, area_fn, w0_area, max_sweeps=200, stop_above=None):
+def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200, stop_above=None):
     """Coordinate descent on raw plane parameters, step-halving, <= max_sweeps.
 
     Maximizes lambda * area(plane) - w0_area over Gr(2, 4) starting from each
@@ -513,7 +490,9 @@ def _maximize_gap_at(point, start_planes, area_fn, w0_area, max_sweeps=200, stop
             else:
                 live.append((j, fr))
         if live:
-            areas = area_fn(np.array([fr[0] for _, fr in live]), np.array([fr[1] for _, fr in live]))
+            U = np.array([fr[0] for _, fr in live])
+            V = np.array([fr[1] for _, fr in live])
+            areas = section_areas(body, U, V, radial_n=1024)
             for (j, fr), area in zip(live, areas):
                 vals[j] = fr[2] * float(area) - w0_area
         return vals
@@ -578,13 +557,12 @@ def certify_no_contraction(
 
     t0 = time.perf_counter()
     target = _reduce_to_r4(body)
-    if ambient_dim(target) != 4:
+    if target.n != 4:
         raise DimensionMismatch("certificate runs on 4-dimensional bodies")
 
     labels, planes = _build_family(target, eps_set, extra_planes, seed)
     areas, U, V = _plane_tables(target, planes)
     w0_area = cross_section(target, w0_plane(4)).euclidean_area
-    area_fn = _make_area_fn(target)
 
     axes = np.linspace(-box_halfwidth, box_halfwidth, grid_n)
     best, witness = _scan_grid(axes, U, V, areas, w0_area, threads)
@@ -603,7 +581,7 @@ def certify_no_contraction(
         lifted_gap, _ = _maximize_gap_at(
             grid_min_point,
             [(grid_min_witness, planes[int(witness[ii])])],
-            area_fn,
+            target,
             w0_area,
             stop_above=gap_threshold,
         )
@@ -618,7 +596,7 @@ def certify_no_contraction(
 
     # worst cell: center gap possibly improved by its own maximizer run
     worst_gap_lift, _ = _maximize_gap_at(
-        grid_min_point, [(grid_min_witness, planes[int(witness[ii])])] + start_pool, area_fn, w0_area
+        grid_min_point, [(grid_min_witness, planes[int(witness[ii])])] + start_pool, target, w0_area
     )
     worst_local_gap = max(grid_min_gap, worst_gap_lift)
 
@@ -651,7 +629,7 @@ def certify_no_contraction(
         fam_gap = float(refined_best[idx])
         starts = [(labels[refined_wit[idx]], planes[refined_wit[idx]])] + start_pool + probe_starts
         lifted_gap, from_label = _maximize_gap_at(
-            tuple(pt), starts, area_fn, w0_area, stop_above=worst_local_gap
+            tuple(pt), starts, target, w0_area, stop_above=worst_local_gap
         )
         new_val = max(fam_gap, lifted_gap)
         lifted_values[idx] = new_val
@@ -709,7 +687,7 @@ def certify_no_contraction(
     counts = {labels[int(w)]: int(c) for w, c in zip(witness_labels, witness_freq)}
 
     cert = Certificate(
-        body=body_label(body),
+        body=body.label,
         box_halfwidth=float(box_halfwidth),
         grid_n=int(grid_n),
         eps_set=eps_set,

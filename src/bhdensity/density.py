@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Body, body_label, body_radius_bounds, minkowski_many
+from .bodies import Body, body_radius_bounds, minkowski_many
 from .errors import (
     DegenerateSpan,
     DimensionMismatch,
@@ -83,7 +83,7 @@ def bh_density_2(body: Body, w: Bivector) -> DensityValue:
         raise DimensionMismatch("bivector and body dimensions differ")
     plane = plane_from_bivector(w)
     area = cross_section(body, plane).euclidean_area
-    return DensityValue(math.pi * w.norm / area, body_label(body), w.norm)
+    return DensityValue(math.pi * w.norm / area, body.label, w.norm)
 
 
 def bh_area(body: Body, plane: Plane2, euclidean_area: float) -> float:
@@ -171,4 +171,4 @@ def bh_density_codim2(
         )
     value = alpha(n - 2) * w_norm / volume
     stderr = value * vol_se / volume
-    return DensityValue(value, body_label(body), w_norm, stderr)
+    return DensityValue(value, body.label, w_norm, stderr)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import AbsSumBody, Body, ambient_dim, body_label
-from .density import bh_density_2, bh_density_codim2
+from .bodies import Body
+from .density import bh_density_codim2
 from .errors import DimensionMismatch
 from .geom import Bivector, _philox, gram_schmidt, hodge_star, wedge
-from .sections import abs_sum_section_areas
+from .sections import section_areas
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ def shared_line_decomposition(seed: int, n: int, stream: int | None = None):
     return _shared_line_draw(seed, n, stream)[1]
 
 
-def _phi_exact_batch(body: AbsSumBody, seed: int, trials: int):
-    """Drawn triples and their exact 2-densities for an abs-sum body, shape (trials, 3).
+def _phi_dim4(body: Body, seed: int, trials: int):
+    """Drawn triples, their 2-densities (trials, 3) and violation bands.
 
     The planes come straight from the drawn vectors: w, w1 and w2 span
-    (u, v+t), (u, v) and (u, t).
+    (u, v+t), (u, v) and (u, t).  The band is 1e-8.
     """
     U = np.empty((trials, 3, 4))
     V = np.empty((trials, 3, 4))
@@ -92,8 +92,27 @@ def _phi_exact_batch(body: AbsSumBody, seed: int, trials: int):
             plane = gram_schmidt(u, b)
             U[i, j], V[i, j], norms[i, j] = plane.u, plane.v, w.norm
         triples.append(triple)
-    areas = abs_sum_section_areas(body.functionals, U.reshape(-1, 4), V.reshape(-1, 4))
-    return triples, math.pi * norms / areas.reshape(-1, 3)
+    areas = section_areas(body, U.reshape(-1, 4), V.reshape(-1, 4))
+    return triples, math.pi * norms / areas.reshape(-1, 3), np.full(trials, 1e-8)
+
+
+def _phi_dim6(body: Body, seed: int, trials: int, samples: int):
+    """Drawn triples, the codim-2 densities of their Hodge duals (trials, 3) and bands.
+
+    The band of a trial is three combined standard errors.
+    """
+    triples = [shared_line_decomposition(seed, 6, stream=i) for i in range(trials)]
+    values = [
+        [
+            bh_density_codim2(body, hodge_star(biv), samples, seed=(seed << 20) + i * 3 + j)
+            for j, biv in enumerate(triple)
+        ]
+        for i, triple in enumerate(triples)
+    ]
+    phis = np.array([[dv.value for dv in row] for row in values])
+    errs = [[dv.stderr or 0.0 for dv in row] for row in values]
+    bands = np.array([3.0 * math.sqrt(sum(e * e for e in row)) for row in errs])
+    return triples, phis, bands
 
 
 def semi_ellipticity_scan(
@@ -101,62 +120,30 @@ def semi_ellipticity_scan(
 ) -> ScanReport:
     """Run decomposition trials of phi(w) <= phi(w1) + phi(w2).
 
-    Four-dimensional bodies use exact sections (violation band 1e-8);
-    six-dimensional bodies test the degree-4 duals of the drawn bivector
-    triples through the codimension-two Monte Carlo densities, with the
-    band widened to three combined standard errors.  Reports the minimum
-    slack, the worst trial and the violation count; for n = 6 the stored
-    trial bivectors are the Hodge duals of the tested multivectors.
+    Four-dimensional bodies score the planes of the drawn triples through
+    `section_areas` (violation band 1e-8); six-dimensional bodies test the
+    degree-4 duals of the drawn bivector triples through the
+    codimension-two Monte Carlo densities (mc_samples each, 10^6 when
+    unset), with the band widened to three combined standard errors.
+    Reports the minimum slack, the worst trial and the violation count; for
+    n = 6 the stored trial bivectors are the Hodge duals of the tested
+    multivectors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = ambient_dim(body)
-    if n == 4:
-        if isinstance(body, AbsSumBody):
-            triples, phis = _phi_exact_batch(body, seed, trials)
-        else:
-            triples = [shared_line_decomposition(seed, 4, stream=i) for i in range(trials)]
-            phis = np.array(
-                [
-                    [bh_density_2(body, w).value for w in triple]
-                    for triple in triples
-                ]
-            )
-        slacks = phis[:, 1] + phis[:, 2] - phis[:, 0]
-        worst = int(np.argmin(slacks))
-        violations = int(np.count_nonzero(slacks < -1e-8))
-        w, w1, w2 = triples[worst]
-        worst_trial = DecompositionTrial(
-            w, w1, w2, body_label(body), float(phis[worst, 0]),
-            float(phis[worst, 1]), float(phis[worst, 2]),
-        )
-        return ScanReport(body_label(body), trials, float(slacks.min()), violations, worst_trial)
-
-    if n == 6:
-        samples = mc_samples or 1_000_000
-        min_slack = np.inf
-        worst_trial = None
-        violations = 0
-        for i in range(trials):
-            w, w1, w2 = shared_line_decomposition(seed, 6, stream=i)
-            values = []
-            errs = []
-            for j, biv in enumerate((w, w1, w2)):
-                dual = hodge_star(biv)  # degree-4 coordinates of the tested multivector
-                dv = bh_density_codim2(body, dual, samples, seed=(seed << 20) + i * 3 + j)
-                values.append(dv.value)
-                errs.append(dv.stderr or 0.0)
-            slack = values[1] + values[2] - values[0]
-            band = 3.0 * math.sqrt(sum(e * e for e in errs))
-            if slack < -band:
-                violations += 1
-            if slack < min_slack:
-                min_slack = slack
-                worst_trial = DecompositionTrial(
-                    w, w1, w2, body_label(body), values[0], values[1], values[2]
-                )
-        return ScanReport(
-            body_label(body), trials, float(min_slack), violations, worst_trial, samples
-        )
-
-    raise DimensionMismatch("scan supports dimension 4 (exact) and 6 (Monte Carlo)")
+    if mc_samples is not None and mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    samples = None
+    if body.n == 4:
+        triples, phis, bands = _phi_dim4(body, seed, trials)
+    elif body.n == 6:
+        samples = 1_000_000 if mc_samples is None else mc_samples
+        triples, phis, bands = _phi_dim6(body, seed, trials, samples)
+    else:
+        raise DimensionMismatch("scan supports dimension 4 (exact) and 6 (Monte Carlo)")
+    slacks = phis[:, 1] + phis[:, 2] - phis[:, 0]
+    worst = int(np.argmin(slacks))
+    violations = int(np.count_nonzero(slacks < -bands))
+    phi, phi1, phi2 = (float(x) for x in phis[worst])
+    worst_trial = DecompositionTrial(*triples[worst], body.label, phi, phi1, phi2)
+    return ScanReport(body.label, trials, float(slacks[worst]), violations, worst_trial, samples)

@@ -4,16 +4,19 @@ Abs-sum bodies {x : sum_j |l_j(x)| <= 1} have one exact section kernel,
 `section_fan`.  Restricted to a plane, the gauge bends only on the kink
 rays where some restricted functional vanishes, so the section polygon's
 vertices are the gauge-normalized points on those rays sorted by angle:
-O(k^2) work for k functionals.  `cross_section`, `abs_sum_section_areas`
-and the contraction maximizer all call it.  Smooth bodies are sampled
-radially.
+O(k^2) work for k functionals.  Smooth bodies are sampled radially.
+
+`section_areas` is the one batched area entry point: it sends abs-sum
+bodies through the kernel in one call and every other body through
+`cross_section` plane by plane.  The contraction maximizer and the
+semi-ellipticity probe score their planes through it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import AbsSumBody, Body, ambient_dim, minkowski_many
+from .bodies import AbsSumBody, Body, minkowski_many
 from .errors import DimensionMismatch, UnboundedSection
 from .geom import Plane2
 from .tolerances import TOL
@@ -131,7 +134,7 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
         polygon = Polygon2(np.column_stack((z.real[keep], z.imag[keep])))
         return SectionReport(polygon, float(areas[0]), "exact-halfplane")
     if body.kind == "product":
-        nl = ambient_dim(body.left)
+        nl = body.left.n
         tail = max(np.abs(plane.u[nl:]).max(initial=0.0), np.abs(plane.v[nl:]).max(initial=0.0))
         if tail <= 1e-13:
             return cross_section(body.left, Plane2(plane.u[:nl], plane.v[:nl]), radial_n)
@@ -149,3 +152,18 @@ def abs_sum_section_areas(functionals: np.ndarray, U: np.ndarray, V: np.ndarray)
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     return section_fan(U @ L.T, V @ L.T)[0]
+
+
+def section_areas(
+    body: Body, U: np.ndarray, V: np.ndarray, radial_n: int | None = None
+) -> np.ndarray:
+    """Euclidean areas of body cut by span(U[i], V[i]) for orthonormal rows U[i], V[i].
+
+    Abs-sum bodies take `abs_sum_section_areas` (exact, one batched call);
+    other bodies take `cross_section` per plane, with radial_n angles.
+    """
+    if isinstance(body, AbsSumBody):
+        return abs_sum_section_areas(body.functionals, U, V)
+    return np.array(
+        [cross_section(body, Plane2(u, v), radial_n).euclidean_area for u, v in zip(U, V)]
+    )

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import bhdensity as bh
 from bhdensity.cli import main, parse_plane
@@ -98,6 +99,22 @@ def test_probe_zero_trials_is_error(capsys):
         assert main(["probe", *body, "--trials", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "trials" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["probe", "--body", "complex-lp", "--p", "2", "--k", "3", "--trials", "1",
+         "--mc-samples", "0"],
+        ["gap", "--body", "euclid-n", "--n", "0", "--proj", "0,0,0,0", "--plane", "w0"],
+        ["section", "--body", "product-c-b", "--euclidean-dim", "0", "--plane", "w0"],
+    ],
+    ids=["mc-samples", "n", "euclidean-dim"],
+)
+def test_zero_is_not_unset(args, capsys):
+    # an explicit 0 is refused, never replaced by the option's default
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_reports_bitwise_identical(tmp_path):

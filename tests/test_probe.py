@@ -45,6 +45,24 @@ def test_scan_euclidean_slack_is_norm_slack(ball4):
         assert abs((triple[1] + triple[2] - triple[0]) - norm_slack) < 1e-5
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_scan_smooth_worst_trial_is_density(p):
+    # the scan's planes come from the draws; the densities are bh_density_2's
+    body = bh.make_complex_lp(p, 2)
+    rep = bh.semi_ellipticity_scan(body, 300, seed=0)
+    t = rep.worst_trial
+    for phi, w in ((t.phi, t.w), (t.phi1, t.w1), (t.phi2, t.w2)):
+        ref = bh.bh_density_2(body, w).value
+        assert abs(phi - ref) <= 1e-9 * ref
+    assert rep.min_slack == t.slack
+
+
+def test_scan_rejects_zero_mc_samples(body_c):
+    for body in (body_c, bh.make_complex_lp(2.0, 3)):
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            bh.semi_ellipticity_scan(body, 1, mc_samples=0)
+
+
 def test_scan_rotated_body_no_violation(body_c):
     rep = bh.semi_ellipticity_scan(body_c, 2000, seed=0)
     assert rep.violations == 0

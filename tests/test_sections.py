@@ -132,6 +132,30 @@ def test_batch_areas_vectorized(body_c):
         assert abs(areas[k] - clipped_section_area(body_c.functionals, planes[k])) < 1e-12
 
 
+def _plane_rows(planes):
+    return np.array([p.u for p in planes]), np.array([p.v for p in planes])
+
+
+def test_section_areas_match_cross_section_abs_sum(body_c):
+    # one batched kernel call against the per-plane polygons
+    k8 = bh.AbsSumBody(np.random.default_rng(8).standard_normal((8, 4)))
+    for seed, body in enumerate((body_c, random_abs_sum_body(4), k8)):
+        planes = bh.random_planes(seed, 4, 64)
+        areas = bh.section_areas(body, *_plane_rows(planes))
+        exact = np.array([bh.cross_section(body, pl).euclidean_area for pl in planes])
+        assert np.all(np.abs(areas - exact) <= 1e-14 * exact)
+
+
+@pytest.mark.parametrize("radial_n", [None, 1024])
+def test_section_areas_smooth_bodies_are_cross_section(ball4, radial_n):
+    # smooth bodies take cross_section plane by plane: the same numbers
+    for seed, body in enumerate((ball4, bh.make_complex_lp(3.0, 2))):
+        planes = bh.random_planes(seed, 4, 64)
+        areas = bh.section_areas(body, *_plane_rows(planes), radial_n=radial_n)
+        exact = [bh.cross_section(body, pl, radial_n).euclidean_area for pl in planes]
+        assert areas.tolist() == exact
+
+
 def _assert_distinct_vertices(vertices):
     gaps = np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
