@@ -151,10 +151,10 @@ def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
     if body.kind == "euclidean":
         return np.linalg.norm(X, axis=1)
     if body.kind == "complex_lp":
-        mods = np.hypot(X[:, 0::2], X[:, 1::2])
+        sq = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
         if body.p == 1.0:
-            return mods.sum(axis=1)
-        return (mods**body.p).sum(axis=1) ** (1.0 / body.p)
+            return np.sqrt(sq).sum(axis=1)
+        return (sq ** (body.p / 2.0)).sum(axis=1) ** (1.0 / body.p)
     # product
     nl = body.left.n
     left_val = minkowski_many(body.left, X[:, :nl])
@@ -173,8 +173,9 @@ def body_radius_bounds(body: Body) -> tuple[float, float]:
 
     r_in is exact for abs-sum bodies (reciprocal of the functional norm sum)
     and a probe minimum otherwise; r_out is the maximum radius over 2n axis
-    probes plus 1024 seeded random rays.  Consumers that need a guaranteed
-    outer box apply a 2x safety factor on r_out.
+    probes plus 1024 seeded random rays.  r_out is a probe estimate, not a
+    bound: it can fall below the circumradius (complex-lp(3, 3) gives
+    1.200834 against 3^(1/6) = 1.200937).
     """
     n = body.n
     dirs = [np.eye(n)[i] * s for i in range(n) for s in (1.0, -1.0)]

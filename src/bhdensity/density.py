@@ -4,8 +4,12 @@ The 2-density of a body B at a simple bivector w is
 ``alpha_2 * |w|_2 / H^2(B intersect span(w))``; the codimension-two variant
 replaces the exact planar section by a Monte Carlo volume of the
 (n-2)-dimensional central section, with the spanning subspace recovered
-through the Hodge dual.  The normalizing ball volume alpha_m is kept in
-both (any constant cancels from every convexity statement).
+through the Hodge dual.  That volume is the polar (radial) estimate
+vol(B cut by E) = alpha_m * E[rho(theta)^m], theta uniform on the unit
+sphere of E and rho = 1 / gauge (Gardner, Geometric Tomography), with a
+standard error alpha_m * s / sqrt(n) from the sample standard deviation s.
+The normalizing ball volume alpha_m is kept in both densities (any
+constant cancels from every convexity statement).
 """
 
 import math
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Body, body_radius_bounds, minkowski_many
+from .bodies import Body, minkowski_many
 from .errors import (
     DegenerateSpan,
     DimensionMismatch,
@@ -99,39 +103,48 @@ def _orthocomplement(plane: Plane2) -> np.ndarray:
     return q[:, 2:]
 
 
-_MC_CHUNK = 1 << 17
+_MC_CHUNK = 1 << 12
 
 
 def mc_section_volume(
     body: Body, basis: np.ndarray, n_samples: int, seed: int = 0
 ) -> tuple[float, float]:
-    """Monte Carlo volume of body cut by the subspace spanned by basis columns.
+    """Monte Carlo volume of body cut by the subspace E spanned by basis columns.
 
-    Samples uniformly in the box r_out * [-1, 1]^m mapped isometrically into
-    the subspace and counts membership.  Returns (volume, stderr).  Chunks
-    are keyed by (seed, chunk index), so the result is independent of any
-    parallel scheduling of the chunks.
+    Polar estimator: vol(K cut by E) = alpha_m * E[rho(theta)^m] with theta
+    uniform on the unit sphere of E and rho = 1 / gauge the radial function.
+    A standard Gaussian g in R^m mapped isometrically into E has a uniform
+    direction, and by homogeneity rho(g/|g|)^m = (|g| / gauge(g))^m, so no
+    outer box is needed.  Returns (volume, stderr) with stderr
+    alpha_m * s / sqrt(n) for the sample standard deviation s; one sample
+    has no sample variance and gets an infinite stderr.  Chunks are keyed
+    by (seed, chunk index) and their means and centred sums of squares are
+    merged pairwise, so the result is independent of any parallel
+    scheduling of the chunks.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     m = basis.shape[1]
-    _, r_out = body_radius_bounds(body)
-    box = (2.0 * r_out) ** m
-    hits = 0
     done = 0
+    mean = 0.0
+    sq_dev = 0.0
     chunk_idx = 0
     while done < n_samples:
         take = min(_MC_CHUNK, n_samples - done)
-        gen = _philox(seed, chunk_idx)
-        t = gen.uniform(-r_out, r_out, size=(take, m))
-        pts = t @ basis.T
-        hits += int(np.count_nonzero(minkowski_many(body, pts) <= 1.0))
-        done += take
+        g = _philox(seed, chunk_idx).standard_normal((take, m))
+        radial = np.sqrt(np.einsum("ij,ij->i", g, g)) / minkowski_many(body, g @ basis.T)
+        y = radial**m
+        chunk_mean = float(y.mean())
+        dev = y - chunk_mean
+        total = done + take
+        delta = chunk_mean - mean
+        mean += delta * take / total
+        sq_dev += float(dev @ dev) + delta * delta * done * take / total
+        done = total
         chunk_idx += 1
-    p_hat = hits / n_samples
-    volume = box * p_hat
-    stderr = box * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
-    return volume, stderr
+    var = sq_dev / (n_samples - 1) if n_samples > 1 else math.inf
+    a = alpha(m)
+    return a * mean, a * math.sqrt(var / n_samples)
 
 
 def bh_density_codim2(
@@ -142,8 +155,10 @@ def bh_density_codim2(
     ``w`` is a simple (n-2)-vector: a Bivector when n = 4, otherwise the
     lex-ordered coordinate array of degree n-2.  The spanning subspace is
     the orthogonal complement of the plane of the Hodge-dual bivector, and
-    the section volume is estimated by seeded Monte Carlo with an honest
-    standard error.
+    the section volume is the seeded polar estimate of `mc_section_volume`
+    with its sample-variance standard error.  Raises InsufficientSamples
+    when that error exceeds TOL.mc_rel_stderr of the volume, which always
+    holds for a single sample.
     """
     n = body.n
     if n not in (4, 6):

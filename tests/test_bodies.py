@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
+from bhdensity.bodies import minkowski_many
 from conftest import SQRT2
 
 
@@ -67,6 +68,20 @@ def test_product_law_exact():
     for _ in range(100):
         x = gen.standard_normal(4)
         assert bh.minkowski(prod, np.append(x, 0.0)) == bh.minkowski(C, x)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_complex_gauge_matches_hypot_reference(p):
+    body = bh.make_complex_lp(p, 3)
+    X = np.random.default_rng(5).standard_normal((500, 6))
+    X[:100, 0] = 0.0  # one coordinate of a pair exactly 0
+    X[100:200, 3] = 0.0
+    X[200:210, 4:] = 0.0  # a whole pair 0
+    mods = np.hypot(X[:, 0::2], X[:, 1::2])
+    ref = (mods**p).sum(axis=1) ** (1.0 / p)
+    got = minkowski_many(body, X)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
 def test_complex_homogeneity():

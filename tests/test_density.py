@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
+from bhdensity.bodies import minkowski_many
+from bhdensity.density import _MC_CHUNK
+from bhdensity.geom import _philox
 from conftest import W0_AREA
 
 
@@ -100,9 +103,28 @@ def test_codim2_seed_reproducibility():
 
 
 def test_codim2_insufficient_samples(body_c):
+    # 5 polar samples give 1.54% relative stderr at seed 0; 1 has no sample variance
     w = bh.wedge(np.eye(4)[0], np.eye(4)[1])
-    with pytest.raises(bh.InsufficientSamples):
-        bh.bh_density_codim2(body_c, w, 50, seed=0)
+    for n_samples in (1, 5):
+        with pytest.raises(bh.InsufficientSamples):
+            bh.bh_density_codim2(body_c, w, n_samples, seed=0)
+
+
+@pytest.mark.parametrize(
+    "body, exact",
+    [
+        (bh.make_complex_lp(1.5, 3), (math.pi * math.gamma(1 + 2 / 1.5)) ** 2 / math.gamma(1 + 4 / 1.5)),
+        (bh.make_complex_lp(3.0, 3), (math.pi * math.gamma(1 + 2 / 3.0)) ** 2 / math.gamma(1 + 4 / 3.0)),
+        (bh.make_cross_polytope(6), 2.0 / 3.0),
+    ],
+    ids=["complex-lp-1.5", "complex-lp-3", "cross6"],
+)
+def test_mc_volume_unbiased_on_closed_forms(body, exact):
+    # the coordinate 4-subspace cuts complex-lp(p, 3) in complex-lp(p, 2) and cross6 in cross4
+    vol, se = bh.mc_section_volume(body, np.eye(6)[:, :4], 1_000_000, seed=0)
+    assert abs(vol - exact) <= 4.0 * se
+    if body.label.startswith("complex"):
+        assert se / vol <= 3e-4
 
 
 def test_mc_volume_parallel_invariance(body_c):
@@ -112,3 +134,18 @@ def test_mc_volume_parallel_invariance(body_c):
     v1 = bh.mc_section_volume(body_c, basis, 300_000, seed=3)
     v2 = bh.mc_section_volume(body_c, basis, 300_000, seed=3)
     assert v1 == v2
+
+
+def test_mc_volume_matches_one_pass_reference():
+    # the chunk merge must equal mean and sample variance over all draws at once
+    body = bh.make_complex_lp(1.5, 3)
+    basis, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 4)))
+    n = 3 * _MC_CHUNK + 17
+    g = np.vstack([
+        _philox(4, i).standard_normal((min(_MC_CHUNK, n - i * _MC_CHUNK), 4))
+        for i in range(4)
+    ])
+    y = (np.linalg.norm(g, axis=1) / minkowski_many(body, g @ basis.T)) ** 4
+    vol, se = bh.mc_section_volume(body, basis, n, seed=4)
+    assert abs(vol - bh.alpha(4) * y.mean()) <= 1e-13 * vol
+    assert abs(se - bh.alpha(4) * y.std(ddof=1) / math.sqrt(n)) <= 1e-10 * se
