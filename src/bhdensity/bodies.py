@@ -141,6 +141,12 @@ def make_product(left: Body, m: int) -> SmoothBody:
     return body
 
 
+def _complex_lp_gauge(X: np.ndarray, p: float) -> np.ndarray:
+    """(sum_j |z_j|^p)^(1/p) over the interleaved pairs of the rows of X."""
+    sq = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
+    return np.sqrt(sq).sum(axis=1) if p == 1.0 else (sq ** (p / 2.0)).sum(axis=1) ** (1.0 / p)
+
+
 def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
     """Minkowski functional on the rows of X (vectorized)."""
     X = np.asarray(X, dtype=float)
@@ -151,10 +157,16 @@ def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
     if body.kind == "euclidean":
         return np.linalg.norm(X, axis=1)
     if body.kind == "complex_lp":
-        sq = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
-        if body.p == 1.0:
-            return np.sqrt(sq).sum(axis=1)
-        return (sq ** (body.p / 2.0)).sum(axis=1) ** (1.0 / body.p)
+        with np.errstate(over="ignore", under="ignore"):
+            val = _complex_lp_gauge(X, body.p)
+        # outside [1/t, t] a square or power may have left the normal floats; the
+        # gauge is 1-homogeneous, so such rows are redone after an exact rescale
+        t = 2.0 ** (900.0 / max(body.p, 2.0))
+        off = ~((val >= 1.0 / t) & (val <= t))
+        if off.any():
+            _, exp = np.frexp(np.abs(X[off]).max(axis=1))
+            val[off] = np.ldexp(_complex_lp_gauge(np.ldexp(X[off], -exp[:, None]), body.p), exp)
+        return val
     # product
     nl = body.left.n
     left_val = minkowski_many(body.left, X[:, :nl])

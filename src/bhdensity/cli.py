@@ -193,7 +193,7 @@ def cmd_certify(args):
                 "reason": exc.reason,
             },
         )
-        print(f"certificate FAILED at {exc.point}: best gap {exc.max_gap:.6g}", file=sys.stderr)
+        print(f"certificate FAILED: {exc}", file=sys.stderr)
         return 2
     _emit(args, cert.to_report(deterministic=args.deterministic))
     return 0

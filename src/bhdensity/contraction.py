@@ -1,14 +1,22 @@
-"""Projection-contraction machinery and the numeric no-contraction certificate.
+"""Projection-contraction machinery and the no-contraction certificate.
 
 A linear projection onto W0 = span(e1, e2) is determined by four reals
 (a, b, c, d) filling the top-right 2x2 block of its matrix.  Such a
 projection scales Euclidean 2-area on a plane V by a constant factor
-lambda(V) = |pi(u) ^ pi(v)|; it contracts the normed Hausdorff 2-measure
-only if lambda(V) * H^2(C cut V) <= H^2(C cut W0) for every plane V.  The
-certificate sweeps a parameter box and exhibits, for each grid point, a
-witness plane violating that inequality.
+lambda(V) = |f|, where in the Plucker coordinates p_ij of V
+
+    f = p01 + c p02 + d p03 - a p12 - b p13 + (ad - bc) p23;
+
+it contracts the normed Hausdorff 2-measure only if
+lambda(V) * H^2(C cut V) <= H^2(C cut W0) for every plane V.  f has degree
+at most one in each parameter, so over a box of parameters it is extreme at
+the box's corners.  The certificate uses that to bound the best witness gap
+from below on every cell of a parameter grid, bisecting the cells that do
+not clear the threshold, and bounds it outside the grid's box in closed
+form through the four coordinate planes whose f is -a, -b, c or d.
 """
 
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +26,7 @@ import numpy as np
 
 from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
-from .geom import Plane2, _philox, gram_schmidt, random_planes
+from .geom import Plane2, gram_schmidt, random_planes
 from .sections import cross_section, section_areas
 
 SQRT2 = np.sqrt(2.0)
@@ -114,24 +122,26 @@ def w0_plane(n: int = 4) -> Plane2:
     return Plane2(u, v)
 
 
-def _area_factors(a, b, c, d, u, v):
-    """|pi(u) ^ pi(v)| for the projection with block [[a, b], [c, d]].
+def _plucker(u, v):
+    """[p01, p02, p03, p12, p13, p23], p_ij = u_i v_j - u_j v_i, indexing u, v on axis 0."""
+    return [u[i] * v[j] - u[j] * v[i] for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
 
-    ``u`` and ``v`` are unpacked along their first axis, so they may be
-    4-tuples, 4-vectors or (4, n_planes) tables; the parameters broadcast
-    against them.
+
+def _signed_factors(a, b, c, d, p):
+    """Signed area factor pi(u) ^ pi(v) of the projection with block [[a, b], [c, d]].
+
+    ``p`` holds the Plucker coordinates of span(u, v) along its first axis (six
+    numbers or a (6, n_planes) table); the parameters broadcast against them.
     """
-    u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = v
-    return abs((u0 + a * u2 + b * u3) * (v1 + c * v2 + d * v3)
-               - (v0 + a * v2 + b * v3) * (u1 + c * u2 + d * u3))
+    p01, p02, p03, p12, p13, p23 = p
+    return p01 + c * p02 + d * p03 - a * p12 - b * p13 + (a * d - b * c) * p23
 
 
 def area_factor(p: ProjectionW0, plane: Plane2) -> float:
     """Euclidean 2-area scaling factor |pi(u) ^ pi(v)| of the projection."""
     if plane.n < 4:
         raise DimensionMismatch("projection family needs dimension >= 4")
-    return float(_area_factors(p.a, p.b, p.c, p.d, plane.u[:4], plane.v[:4]))
+    return float(abs(_signed_factors(p.a, p.b, p.c, p.d, _plucker(plane.u[:4], plane.v[:4]))))
 
 
 def contraction_gap(
@@ -270,6 +280,8 @@ def projection_pinning(body: Body, eps: float) -> PinningReport:
     return PinningReport(eps, intervals, widths)
 
 
+
+
 # ---------------------------------------------------------------------------
 # certificate
 # ---------------------------------------------------------------------------
@@ -277,7 +289,7 @@ def projection_pinning(body: Body, eps: float) -> PinningReport:
 
 @dataclass
 class Certificate:
-    """Result of a no-contraction sweep over the projection parameter box."""
+    """Result of a no-contraction certificate over the projection parameters."""
 
     body: str
     box_halfwidth: float
@@ -291,6 +303,7 @@ class Certificate:
     w0_area: float
     cell_values: np.ndarray = field(repr=False)
     cell_witness: np.ndarray = field(repr=False)
+    cell_bounds: np.ndarray = field(repr=False)
     grid_min_gap: float = 0.0
     grid_min_point: tuple = (0.0, 0.0, 0.0, 0.0)
     grid_min_witness: str = ""
@@ -298,6 +311,7 @@ class Certificate:
     lifted: list = field(default_factory=list)
     worst_cell: dict = field(default_factory=dict)
     global_min_max_gap: float = 0.0
+    box: dict = field(default_factory=dict)
     exterior: dict = field(default_factory=dict)
     witness_counts: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
@@ -324,6 +338,7 @@ class Certificate:
             "worst_cell": self.worst_cell,
             "refined_points": self.refined_count,
             "lifted": self.lifted,
+            "box": self.box,
             "exterior": self.exterior,
             "witness_counts": self.witness_counts,
             "cells": {
@@ -385,78 +400,133 @@ def _build_family(body: Body, eps_set, extra_planes: int, seed: int):
 
 
 def _plane_tables(body: Body, planes):
+    """Section areas and the (n_planes, 6) Plucker table of the planes."""
     areas = np.array([cross_section(body, pl).euclidean_area for pl in planes])
-    U = np.array([pl.u for pl in planes])
-    V = np.array([pl.v for pl in planes])
-    return areas, U, V
+    return areas, np.array([_plucker(pl.u, pl.v) for pl in planes])
 
 
 _WITNESS_TIE = 1e-12
 
-
-def _best_gaps(A, B, C, D, U, V, areas, w0_area):
-    """Best gap over the planes and the first plane within tie tolerance of it.
-
-    The parameters A, B, C, D broadcast against each other; U, V hold one
-    plane per row.  The planes are visited twice (the max, then the
-    witness), so no (points, planes) matrix is built.
-    """
-
-    def gaps(i):
-        return _area_factors(A, B, C, D, U[i], V[i]) * areas[i] - w0_area
-
-    best = gaps(0)
-    for i in range(1, areas.size):
-        np.maximum(best, gaps(i), out=best)
-    floor = best - _WITNESS_TIE
-    witness = np.zeros(best.shape, dtype=np.int32)
-    assigned = np.zeros(best.shape, dtype=bool)
-    for i in range(areas.size):
-        hit = ~assigned & (gaps(i) >= floor)
-        witness[hit] = i
-        assigned |= hit
-    return best, witness
+# corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is set
+_CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
 
 
-def _scan_grid(axes, U, V, areas, w0_area, threads):
-    """Per-cell best gap and first witness within tie tolerance, vectorized.
+def _corner_gaps(f_min, f_max, areas, w0_area):
+    """Least gap of each plane over a cell whose corner factors span [f_min, f_max].
 
-    The first grid axis is chunked across a thread pool; chunks write into
-    disjoint slabs so the result is independent of scheduling.
+    f has degree at most one in each parameter, so that is its range on the
+    cell; unless the corners share a sign, f vanishes in the cell."""
+    return areas * np.maximum(np.maximum(f_min, -f_max), 0.0) - w0_area
+
+
+def _scan_grid(axes, P, areas, w0_area, threads):
+    """Best gap and first witness within ``_WITNESS_TIE`` at each grid point, and
+    each cell's best ``_corner_gaps``, over the planes of the Plucker table ``P``.
+
+    Slabs of the first grid axis run on a thread pool.  A slab also reads the
+    next slab's first row, to close its last cells, but writes only its own
+    rows, so the result does not depend on scheduling.
     """
     g = axes.size
     best = np.empty((g, g, g, g))
     witness = np.empty((g, g, g, g), dtype=np.int32)
+    bounds = np.empty((g - 1,) * 4)
 
     B = axes[None, :, None, None]
     C = axes[None, None, :, None]
     D = axes[None, None, None, :]
 
     def do_slab(i0, i1):
-        A = axes[i0:i1, None, None, None]
-        best[i0:i1], witness[i0:i1] = _best_gaps(A, B, C, D, U, V, areas, w0_area)
+        A = axes[i0:min(i1 + 1, g), None, None, None]
+        for i in range(areas.size):
+            f = f_min = f_max = _signed_factors(A, B, C, D, P[i])
+            for _ in range(4):  # over each cell's 16 corners, one axis at a time
+                f_min = np.moveaxis(np.minimum(f_min[:-1], f_min[1:]), 0, -1)
+                f_max = np.moveaxis(np.maximum(f_max[:-1], f_max[1:]), 0, -1)
+            gap = np.abs(f) * areas[i] - w0_area
+            low = _corner_gaps(f_min, f_max, areas[i], w0_area)
+            if i == 0:
+                top, cell = gap, low
+            else:
+                np.maximum(top, gap, out=top)
+                np.maximum(cell, low, out=cell)
+        best[i0:i1], bounds[i0:i0 + cell.shape[0]] = top[:i1 - i0], cell
+        A, floor = A[:i1 - i0], top[:i1 - i0] - _WITNESS_TIE
+        wit = np.zeros(floor.shape, dtype=np.int32)
+        assigned = np.zeros(floor.shape, dtype=bool)
+        for i in range(areas.size):
+            gap = np.abs(_signed_factors(A, B, C, D, P[i])) * areas[i] - w0_area
+            hit = ~assigned & (gap >= floor)
+            wit[hit] = i
+            assigned |= hit
+        witness[i0:i1] = wit
 
     workers = threads or os.cpu_count() or 1
-    bounds = np.linspace(0, g, min(workers, g) + 1).astype(int)
-    slabs = [(int(bounds[k]), int(bounds[k + 1])) for k in range(len(bounds) - 1)
-             if bounds[k] < bounds[k + 1]]
+    edges = np.linspace(0, g, min(workers, g) + 1).astype(int)
+    slabs = [(int(edges[k]), int(edges[k + 1])) for k in range(len(edges) - 1)
+             if edges[k] < edges[k + 1]]
     if len(slabs) <= 1:
         do_slab(0, g)
     else:
         with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
             list(pool.map(lambda se: do_slab(*se), slabs))
-    return best, witness
+    return best, witness, bounds
 
 
-def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200, stop_above=None):
+def _cell_bounds(lo, hi, P, areas, w0_area):
+    """``_corner_gaps`` (cells, n_planes) of the cells [lo, hi], their corners
+    (cells, 16, 4) and the best gap at each corner (cells, 16)."""
+    corners = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])
+    f = _signed_factors(*np.moveaxis(corners, -1, 0)[..., None], P.T)
+    lower = _corner_gaps(f.min(axis=1), f.max(axis=1), areas, w0_area)
+    return lower, corners, (np.abs(f) * areas - w0_area).max(axis=2)
+
+
+def _bisect(lo, hi, bounds, P, areas, w0_area, threshold, allowance, budget):
+    """Split the open cells [lo, hi] (bounds ``bounds``) into 16 until all clear ``threshold``.
+
+    Returns the cell count per level and the least cleared (bound, lo, hi).
+    Raises CertificateFailed, without a gap table, at a corner whose best gap
+    does not clear the threshold, or at the open cell of least bound before
+    more than ``budget`` cells or a split below float resolution.
+    """
+    counts, least = [], (np.inf, None, None)
+    chunk = max(1, (1 << 20) // (16 * areas.size))
+    while lo.shape[0]:
+        worst = int(np.argmin(bounds))
+        centre, mid = 0.5 * (lo[worst] + hi[worst]), 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            raise CertificateFailed(centre, bounds[worst],
+                                    reason="bisection reached float resolution")
+        if sum(counts) + 16 * lo.shape[0] > budget:
+            raise CertificateFailed(centre, bounds[worst], reason=(
+                f"bisection budget of {budget} cells exhausted with {lo.shape[0]} cells open"))
+        lo, hi = (np.where(_CORNERS, mid[:, None], lo[:, None]).reshape(-1, 4),
+                  np.where(_CORNERS, hi[:, None], mid[:, None]).reshape(-1, 4))
+        bounds = np.empty(lo.shape[0])
+        for s in range(0, lo.shape[0], chunk):
+            lower, corners, corner_best = _cell_bounds(lo[s:s + chunk], hi[s:s + chunk],
+                                                       P, areas, w0_area)
+            if corner_best.min() <= threshold:
+                c, k = np.unravel_index(int(np.argmin(corner_best)), corner_best.shape)
+                raise CertificateFailed(corners[c, k], corner_best[c, k], reason="bisection corner")
+            bounds[s:s + chunk] = lower.max(axis=1) - allowance
+        counts.append(int(lo.shape[0]))
+        verified = bounds > threshold
+        j = int(np.argmin(np.where(verified, bounds, np.inf)))
+        if verified[j] and bounds[j] < least[0]:
+            least = (float(bounds[j]), lo[j], hi[j])
+        lo, hi, bounds = lo[~verified], hi[~verified], bounds[~verified]
+    return counts, least
+
+
+def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200):
     """Coordinate descent on raw plane parameters, step-halving, <= max_sweeps.
 
     Maximizes lambda * area(plane) - w0_area over Gr(2, 4) starting from each
     given plane; returns the best (gap, label-of-start).  Each coordinate's
     +step and -step moves are scored in one area call, and the first
-    improving one is taken.  When ``stop_above`` is given, later starts are
-    skipped once the bound is cleared (the result is a witness lower bound
-    either way).
+    improving one is taken.
     """
     a, b, c, d = (float(t) for t in point)
 
@@ -475,7 +545,7 @@ def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200, stop_ab
             return None
         fu = (ax, ay, az, aw)
         fv = (bx / nb, by / nb, bz / nb, bw / nb)
-        return fu, fv, _area_factors(a, b, c, d, fu, fv)
+        return fu, fv, abs(_signed_factors(a, b, c, d, _plucker(fu, fv)))
 
     def score(xs):
         # degenerate spans score -inf, planes the projection collapses -w0_area
@@ -523,8 +593,6 @@ def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200, stop_ab
         if val > best_gap:
             best_gap = val
             best_label = label
-        if stop_above is not None and best_gap > stop_above:
-            break
     return best_gap, best_label
 
 
@@ -538,14 +606,19 @@ def certify_no_contraction(
     gap_threshold: float = 1e-3,
     threads: int | None = None,
 ) -> Certificate:
-    """Sweep the projection box and certify a positive witness gap everywhere.
+    """Certify a witness gap above ``gap_threshold`` at every projection (a, b, c, d).
 
-    For every grid point of [-R, R]^4 the maximum contraction gap over the
-    witness family is recorded; the worst 1% of cells get one level of grid
-    halving, and the lowest refined points plus the worst cell are sharpened
-    by a local plane maximizer.  Rays from the box boundary out to 10R check
-    that gaps keep growing outside the box.  Raises CertificateFailed when
-    any evaluated point has no witness above the threshold.
+    One grid pass on [-R, R]^4 records each grid point's best gap and first
+    witness and each cell's best ``_corner_gaps``; cells that do not clear
+    the threshold are bisected (``_bisect``) within (grid_n - 1)^4 cells.
+    Outside the box some |parameter| exceeds R, so the coordinate planes
+    whose f is that parameter bound every gap by min_k A_k * R - w0_area.
+    Bounds are lowered by 64 eps (A * (1 + 4R + 2R^2) + w0_area), A the
+    largest section area used: unit planes have |p_ij| <= 1, so f's absolute
+    terms in the box sum to at most 1 + 4R + 2R^2 and its rounding error is
+    under 10 ulps of that; the rest covers the areas and the gap arithmetic.
+    Raises CertificateFailed when the exterior bound, a grid point or a
+    bisection corner does not clear the threshold, or the bisection stops.
     """
     if box_halfwidth < 2.0:
         raise ValueError("box halfwidth must be >= 2")
@@ -554,6 +627,8 @@ def certify_no_contraction(
     eps_set = tuple(sorted(float(e) for e in eps_set))
     if not eps_set or not all(0.0 < e <= 0.2 for e in eps_set):
         raise ValueError("eps_set must be nonempty inside (0, 0.2]")
+    if not np.isfinite(gap_threshold):
+        raise ValueError("gap_threshold must be finite")
 
     t0 = time.perf_counter()
     target = _reduce_to_r4(body)
@@ -561,134 +636,62 @@ def certify_no_contraction(
         raise DimensionMismatch("certificate runs on 4-dimensional bodies")
 
     labels, planes = _build_family(target, eps_set, extra_planes, seed)
-    areas, U, V = _plane_tables(target, planes)
+    areas, P = _plane_tables(target, planes)
     w0_area = cross_section(target, w0_plane(4)).euclidean_area
+    eye = np.eye(4)  # span(e2, e3), span(e2, e4), span(e1, e3), span(e1, e4): f = -a, -b, c, d
+    ext_areas = [cross_section(target, Plane2(eye[i], eye[j])).euclidean_area
+                 for i, j in ((1, 2), (1, 3), (0, 2), (0, 3))]
+    R = float(box_halfwidth)
+    top_area = max(areas.max(), max(ext_areas))
+    allowance = 64.0 * np.finfo(float).eps * (top_area * (1.0 + 4.0 * R + 2.0 * R * R) + w0_area)
 
-    axes = np.linspace(-box_halfwidth, box_halfwidth, grid_n)
-    best, witness = _scan_grid(axes, U, V, areas, w0_area, threads)
+    def fail_at(point, max_gap, reason):
+        gaps = np.abs(_signed_factors(*point, P.T)) * areas - w0_area
+        raise CertificateFailed(point, max_gap, dict(zip(labels, gaps.tolist())), reason)
+
+    # --- exterior, in closed form
+    exterior_bound = min(ext_areas) * R - w0_area - allowance
+    if exterior_bound <= gap_threshold:
+        fail_at(tuple(R * eye[int(np.argmin(ext_areas))]), exterior_bound,
+                "exterior bound min_k A_k * R - w0_area does not clear the threshold")
+
+    # --- grid points and cell bounds in one pass, then bisection of the open cells
+    axes = np.linspace(-R, R, grid_n)
+    best, witness, bounds = _scan_grid(axes, P, areas, w0_area, threads)
+    bounds -= allowance
 
     flat_idx = int(np.argmin(best.ravel()))
     grid_min_gap = float(best.ravel()[flat_idx])
     ii = np.unravel_index(flat_idx, best.shape)
     grid_min_point = tuple(float(axes[i]) for i in ii)
     grid_min_witness = labels[int(witness[ii])]
-
-    def fail_at(point, max_gap, reason):
-        gaps = _area_factors(*point, U.T, V.T) * areas - w0_area
-        raise CertificateFailed(point, max_gap, dict(zip(labels, gaps.tolist())), reason)
-
     if grid_min_gap <= gap_threshold:
-        lifted_gap, _ = _maximize_gap_at(
-            grid_min_point,
-            [(grid_min_witness, planes[int(witness[ii])])],
-            target,
-            w0_area,
-            stop_above=gap_threshold,
-        )
-        if max(grid_min_gap, lifted_gap) <= gap_threshold:
-            fail_at(grid_min_point, max(grid_min_gap, lifted_gap), "interior grid minimum")
+        fail_at(grid_min_point, grid_min_gap, "grid minimum")
 
-    start_pool = [("v9", planes[0])]
-    for lbl, pl in zip(labels, planes):
-        if lbl.startswith("vertex:34"):
-            start_pool.append((lbl, pl))
-    probe_starts = [(f"probe:v{i}", named_plane(i, 0.35)) for i in range(1, 9)]
+    verified = bounds > gap_threshold
+    jj = np.unravel_index(int(np.argmin(np.where(verified, bounds, np.inf))), bounds.shape)
+    least = (bounds[jj] if verified[jj] else np.inf, axes[list(jj)], axes[[i + 1 for i in jj]])
+    open_idx = np.argwhere(~verified)
+    try:
+        level_cells, bisected = _bisect(axes[open_idx], axes[open_idx + 1], bounds[~verified],
+                                        P, areas, w0_area, gap_threshold, allowance, bounds.size)
+    except CertificateFailed as err:
+        fail_at(err.point, err.max_gap, err.reason)
+    least_bound, least_lo, least_hi = min(least, bisected, key=lambda t: t[0])
+    lower, _, _ = _cell_bounds(least_lo[None], least_hi[None], P, areas, w0_area)
 
-    # worst cell: center gap possibly improved by its own maximizer run
-    worst_gap_lift, _ = _maximize_gap_at(
-        grid_min_point, [(grid_min_witness, planes[int(witness[ii])])] + start_pool, target, w0_area
-    )
+    # worst grid point: its gap possibly improved by a local maximizer run
+    start_pool = [(grid_min_witness, planes[int(witness[ii])]), ("v9", planes[0])]
+    start_pool += [(lbl, pl) for lbl, pl in zip(labels, planes) if lbl.startswith("vertex:34")]
+    worst_gap_lift, from_label = _maximize_gap_at(grid_min_point, start_pool, target, w0_area)
     worst_local_gap = max(grid_min_gap, worst_gap_lift)
-
-    # --- refinement: one level of grid halving around the worst 1% of cells
-    n_cells = best.size
-    n_refine = max(1, int(np.ceil(0.01 * n_cells)))
-    order = np.lexsort((np.arange(n_cells), best.ravel()))
-    refine_cells = order[:n_refine]
-    half = (axes[1] - axes[0]) / 2.0
-    offsets = np.array([np.array(t) * half for t in _halving_offsets()], dtype=float)
-    centers = np.stack(np.unravel_index(refine_cells, best.shape), axis=1)
-    centers = axes[centers]
-    refined_points = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 4)
-    refined_points = np.unique(refined_points, axis=0)
-    refined_best, refined_wit = _best_gaps(
-        *np.ascontiguousarray(refined_points.T), U, V, areas, w0_area
-    )
-
-    # --- maximizer lift on every refined point that could drag the global
-    # minimum below the sharpened worst-cell value (capped for safety)
-    bar = max(2.0 * gap_threshold, worst_local_gap - 1e-9)
-    low_idx = np.flatnonzero(refined_best < bar)
-    if low_idx.size > 128:
-        sub = np.lexsort((low_idx, refined_best[low_idx]))[:128]
-        low_idx = low_idx[sub]
-    lifted = []
-    lifted_values = refined_best.copy()
-    for idx in (int(i) for i in low_idx):
-        pt = refined_points[idx]
-        fam_gap = float(refined_best[idx])
-        starts = [(labels[refined_wit[idx]], planes[refined_wit[idx]])] + start_pool + probe_starts
-        lifted_gap, from_label = _maximize_gap_at(
-            tuple(pt), starts, target, w0_area, stop_above=worst_local_gap
-        )
-        new_val = max(fam_gap, lifted_gap)
-        lifted_values[idx] = new_val
-        lifted.append(
-            {
-                "point": [float(t) for t in pt],
-                "family_gap": fam_gap,
-                "lifted_gap": new_val,
-                "witness": labels[refined_wit[idx]]
-                if new_val == fam_gap
-                else f"optimized({from_label})",
-            }
-        )
-
-    # refined argmin inside the worst cell's halved neighborhood (post-lift);
-    # value ties within the witness tolerance resolve toward the cell center
-    cell_pt = np.asarray(grid_min_point)
-    near = np.all(np.abs(refined_points - cell_pt[None, :]) <= half + 1e-12, axis=1)
-    if np.any(near):
-        near_idx = np.flatnonzero(near)
-        vals = lifted_values[near_idx]
-        tied = near_idx[vals <= vals.min() + _WITNESS_TIE]
-        dists = np.abs(refined_points[tied] - cell_pt[None, :]).max(axis=1)
-        jloc = int(tied[int(np.lexsort((tied, dists))[0])])
-        refined_point = [float(t) for t in refined_points[jloc]]
-        refined_gap = float(lifted_values[jloc])
-        refined_witness = labels[int(refined_wit[jloc])]
-    else:
-        refined_point = list(grid_min_point)
-        refined_gap = grid_min_gap
-        refined_witness = grid_min_witness
-
-    # global minimum over every evaluated point, using the best-known witness
-    # value at each (the worst cell keeps its maximizer-sharpened gap)
-    base_vals = best.ravel().copy()
-    base_vals[flat_idx] = worst_local_gap
-    global_min = min(float(base_vals.min()), float(lifted_values.min()))
-    if global_min <= gap_threshold:
-        bad = int(np.lexsort((np.arange(lifted_values.size), lifted_values))[0])
-        fail_at(tuple(refined_points[bad]), float(lifted_values[bad]), "refined point")
-
-    # --- exterior: 2^8 sign-pattern rays from the box boundary to 10R
-    rays = _exterior_rays(seed, box_halfwidth)
-    radii_factors = 10.0 ** (np.arange(8) / 7.0)
-    pts = rays[:, None, :] * radii_factors[None, :, None]
-    mx, _ = _best_gaps(*np.moveaxis(pts, -1, 0), U, V, areas, w0_area)
-    steps = np.diff(mx, axis=1)
-    falling = steps < -1e-9
-    monotone = not falling.any()
-    if not monotone:
-        r, k = np.unravel_index(int(np.argmax(falling)), falling.shape)
-        fail_at(tuple(float(t) for t in pts[r, k + 1]), 0.0, "exterior ray not monotone")
 
     witness_labels, witness_freq = np.unique(witness, return_counts=True)
     counts = {labels[int(w)]: int(c) for w, c in zip(witness_labels, witness_freq)}
 
-    cert = Certificate(
+    return Certificate(
         body=body.label,
-        box_halfwidth=float(box_halfwidth),
+        box_halfwidth=R,
         grid_n=int(grid_n),
         eps_set=eps_set,
         extra_planes=int(extra_planes),
@@ -699,52 +702,30 @@ def certify_no_contraction(
         w0_area=float(w0_area),
         cell_values=best,
         cell_witness=witness,
+        cell_bounds=bounds,
         grid_min_gap=grid_min_gap,
         grid_min_point=grid_min_point,
         grid_min_witness=grid_min_witness,
-        refined_count=int(refined_points.shape[0]),
-        lifted=lifted,
+        refined_count=sum(level_cells),
+        lifted=[{"point": list(grid_min_point), "family_gap": grid_min_gap,
+                 "lifted_gap": worst_local_gap, "witness": grid_min_witness
+                 if worst_local_gap == grid_min_gap else f"optimized({from_label})"}],
         worst_cell={
             "point": list(grid_min_point),
             "gap": grid_min_gap,
             "witness": grid_min_witness,
             "local_gap": worst_local_gap,
-            "refined_point": refined_point,
-            "refined_gap": refined_gap,
-            "refined_witness": refined_witness,
+            "refined_point": [float(t) for t in 0.5 * (least_lo + least_hi)],
+            "refined_halfwidth": float(0.5 * (least_hi[0] - least_lo[0])),
+            "refined_gap": float(least_bound),
+            "refined_witness": labels[int(np.argmax(lower[0]))],
         },
-        global_min_max_gap=float(global_min),
-        exterior={
-            "rays": len(rays),
-            "radii_factors": radii_factors.tolist(),
-            "monotone": monotone,
-            "min_step": float(steps.min()),
-        },
+        global_min_max_gap=float(least_bound),
+        box={"guarantee": "verified", "cells_per_level": [int(bounds.size)] + level_cells,
+             "allowance": float(allowance)},
+        exterior={"guarantee": "verified", "areas": dict(zip("abcd", ext_areas)), "R": R,
+                  "bound": float(exterior_bound)},
         witness_counts=counts,
         runtime_seconds=time.perf_counter() - t0,
         success=True,
     )
-    return cert
-
-
-def _halving_offsets():
-    """All offsets in {-1, 0, +1}^4 in a fixed deterministic order."""
-    vals = (-1.0, 0.0, 1.0)
-    return [(p, q, r, s) for p in vals for q in vals for r in vals for s in vals]
-
-
-def _exterior_rays(seed: int, box_halfwidth: float) -> np.ndarray:
-    """256 rays: 16 sign patterns times 16 weight profiles, boundary-scaled."""
-    gen = _philox(seed, 0xE57E)
-    signs = np.array([[p, q, r, s] for p in (1.0, -1.0) for q in (1.0, -1.0)
-                      for r in (1.0, -1.0) for s in (1.0, -1.0)])
-    rays = []
-    for pattern in signs:
-        weights = [np.ones(4)]
-        for _ in range(15):
-            weights.append(0.25 + np.abs(gen.standard_normal(4)))
-        for w in weights:
-            d = pattern * w
-            d = d / np.abs(d).max() * box_halfwidth
-            rays.append(d)
-    return np.asarray(rays)

@@ -84,6 +84,18 @@ def test_complex_gauge_matches_hypot_reference(p):
     assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_complex_gauge_is_scale_safe(p):
+    # squaring 1e200 overflows and squaring 1e-200 underflows; the gauge must not
+    body = bh.make_complex_lp(p, 2)
+    X = np.array([[1e200, 0.0, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [1e160, 1e160, 0.0, 0.0]])
+    got = minkowski_many(body, X)
+    want = np.array([1e200, 1e-200, SQRT2 * 1e160])
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 4e-16 * want)
+
+
 def test_complex_homogeneity():
     body = bh.make_complex_lp(3.0, 2)
     gen = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +71,37 @@ def test_certify_failure_exit_code(tmp_path):
     assert code == 2
     assert data["success"] is False
     assert data["failed_at"] == [0.0, 0.0, 0.0, 0.0]
+
+
+
+def test_certify_exterior_failure(tmp_path, capsys):
+    # the coordinate sections of |x1| + |x2| + 10|x3| + 10|x4| <= 1 have area 0.2, so the
+    # exterior bound is 0.2 * R - 2 < 0
+    body_file = tmp_path / "thin.json"
+    body_file.write_text(json.dumps({"kind": "abs_sum", "functionals": np.diag([1.0, 1.0, 10.0, 10.0]).tolist()}))
+    code, data, _ = run_cli(
+        ["certify", "--body", str(body_file), "--box", "2", "--grid", "21",
+         "--eps", "0.05", "--extra-planes", "4"],
+        tmp_path,
+    )
+    assert code == 2
+    assert data["success"] is False and data["reason"].startswith("exterior bound")
+    assert data["max_gap"] == pytest.approx(0.2 * 2.0 - 2.0, abs=1e-12)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_certify_threshold_near_grid_minimum_stops(tmp_path):
+    # above the family's least gap the bisection meets a failing corner (or its budget) quickly
+    t0 = time.perf_counter()
+    code, data, _ = run_cli(
+        ["certify", "--body", "rotated-cross4", "--threshold", "0.02", "--box", "2", "--grid", "21",
+         "--eps", "0.05", "--extra-planes", "4"],
+        tmp_path,
+    )
+    assert code == 2
+    assert data["success"] is False and data["reason"].startswith("bisection")
+    assert data["max_gap"] <= 0.02
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -186,6 +186,8 @@ def test_certificate_thread_count_does_not_change_cells(body_c):
     four = bh.certify_no_contraction(body_c, threads=4, **kwargs)
     assert np.array_equal(one.cell_values, four.cell_values)
     assert np.array_equal(one.cell_witness, four.cell_witness)
+    assert np.array_equal(one.cell_bounds, four.cell_bounds)
+    assert one.box == four.box and one.worst_cell == four.worst_cell
 
 
 def test_certificate_euclidean_control_fails(ball4):
@@ -214,6 +216,8 @@ def test_certificate_parameter_validation(body_c):
         bh.certify_no_contraction(body_c, grid_n=5)
     with pytest.raises(ValueError):
         bh.certify_no_contraction(body_c, eps_set=(0.3,))
+    with pytest.raises(ValueError):
+        bh.certify_no_contraction(body_c, gap_threshold=float("nan"))
 
 def test_scan_grid_witness_beyond_int16():
     # 32,769 copies of w0 with growing areas: the last plane is every cell's witness
@@ -222,9 +226,10 @@ def test_scan_grid_witness_beyond_int16():
     V = np.tile([0.0, 1.0, 0.0, 0.0], (n_planes, 1))
     areas = np.arange(1.0, n_planes + 1.0)
     axes = np.array([-1.0, 1.0])
-    best, witness = contraction._scan_grid(axes, U, V, areas, 0.5, threads=1)
+    P = np.array(contraction._plucker(U.T, V.T)).T
+    best, witness, bounds = contraction._scan_grid(axes, P, areas, 0.5, threads=1)
     assert np.all(witness == n_planes - 1)
-    assert best.shape == (2, 2, 2, 2)
+    assert best.shape == (2, 2, 2, 2) and bounds.shape == (1, 1, 1, 1)
 
 
 def test_scan_grid_matches_brute_force_with_duplicate_plane():
@@ -241,7 +246,8 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     V = np.array([pl.v for pl in planes])
     axes = np.linspace(-1.5, 1.5, 5)
     w0_area = 1.2
-    best, witness = contraction._scan_grid(axes, U, V, areas, w0_area, threads=2)
+    P = np.array(contraction._plucker(U.T, V.T)).T
+    best, witness, bounds = contraction._scan_grid(axes, P, areas, w0_area, threads=2)
     for idx in np.ndindex(best.shape):
         p = bh.ProjectionW0(*axes[list(idx)])
         gaps = [bh.area_factor(p, pl) * ar - w0_area for pl, ar in zip(planes, areas)]
@@ -251,3 +257,106 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
         assert witness[idx] == first
     assert np.any(witness == 0)
     assert not np.any(witness == 3)
+    # each cell bound is the best plane's least corner |f|, from planes whose corners agree in sign
+    for cell in np.ndindex(bounds.shape):
+        corners = [axes[[i + k for i, k in zip(cell, bits)]] for bits in np.ndindex(2, 2, 2, 2)]
+        per_plane = []
+        for row, ar in zip(P, areas):
+            f = np.array([contraction._signed_factors(*pt, row) for pt in corners])
+            same_sign = (f > 0).all() or (f < 0).all()
+            per_plane.append(ar * np.abs(f).min() - w0_area if same_sign else -w0_area)
+        assert bounds[cell] == max(per_plane)
+
+
+def test_plucker_factor_matches_projected_wedge():
+    gen = np.random.default_rng(3)
+    for i in range(500):
+        a, b, c, d = gen.uniform(-4, 4, 4)
+        plane = bh.random_plane(29, 4, stream=i)
+        pu, pv = bh.ProjectionW0(a, b, c, d).apply(plane.u), bh.ProjectionW0(a, b, c, d).apply(plane.v)
+        f = contraction._signed_factors(a, b, c, d, contraction._plucker(plane.u, plane.v))
+        assert abs(f - (pu[0] * pv[1] - pu[1] * pv[0])) < 1e-12
+
+
+def _coordinate_plane_table(i, j):
+    """Plucker row of span(e_i, e_j): its signed factor is one parameter (or minus it)."""
+    eye = np.eye(4)
+    return np.array(contraction._plucker(eye[i], eye[j]))[None, :]
+
+
+def test_cell_bound_drops_plane_whose_factor_changes_sign():
+    # span(e2, e3) has f = -a: |f| = 1 at every corner of [-1, 1]^4, but f = 0 at a = 0
+    P = _coordinate_plane_table(1, 2)
+    areas = np.array([10.0])
+    _, _, bounds = contraction._scan_grid(np.array([-1.0, 1.0]), P, areas, 1.0, threads=1)
+    assert bounds[0, 0, 0, 0] == -1.0
+    lower, _, corner_best = contraction._cell_bounds(
+        np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 1.0)
+    assert lower[0, 0] == -1.0 and corner_best.min() == 9.0
+    # on a cell with a in [0.5, 1] the corners agree and the least |f| is 0.5
+    lower, _, _ = contraction._cell_bounds(
+        np.array([[0.5, -1.0, -1.0, -1.0]]), np.array([[1.0, 1.0, 1.0, 1.0]]), P, areas, 1.0)
+    assert lower[0, 0] == 4.0
+
+
+def test_bisection_budget_and_float_resolution_stop():
+    # f = -a does not depend on b, c, d: the cells straddling a = 0 never clear a threshold
+    # just above -w0_area, and every split leaves 8 of them open
+    P = _coordinate_plane_table(1, 2)
+    areas = np.array([1.0])
+    lo, hi = np.array([[-1.0, 0.0, 0.0, 0.0]]), np.array([[2.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(bh.CertificateFailed) as err:
+        contraction._bisect(lo, hi, np.array([-1.0]), P, areas, 1.0, -1.0 + 1e-9, 0.0, 4096)
+    assert "budget of 4096 cells" in err.value.reason
+    tiny_hi = np.array([[np.nextafter(-1.0, 0.0), 1.0, 1.0, 1.0]])
+    with pytest.raises(bh.CertificateFailed) as err:
+        contraction._bisect(lo, tiny_hi, np.array([-1.0]), P, areas, 1.0, 1.0, 0.0, 4096)
+    assert err.value.reason == "bisection reached float resolution"
+
+
+def test_verified_cells_bound_sampled_family_gaps(body_c):
+    kwargs = dict(box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1)
+    cert = bh.certify_no_contraction(body_c, **kwargs)
+    labels, planes = contraction._build_family(body_c, (0.05, 0.1), 8, 1)
+    assert labels == cert.family_labels
+    axes = np.linspace(-2.0, 2.0, 21)
+    gen = np.random.default_rng(11)
+    bounds = cert.cell_bounds.ravel()
+    verified = np.flatnonzero(bounds > cert.gap_threshold)
+    lowest = verified[np.argsort(bounds[verified], kind="stable")[:60]]
+    cells = np.concatenate([lowest, gen.choice(verified, 60, replace=False)])
+
+    def family_max(point):
+        p = bh.ProjectionW0(*point)
+        return max(bh.area_factor(p, pl) * ar - cert.w0_area for pl, ar in zip(planes, cert.plane_areas))
+
+    for flat in cells:
+        idx = np.array(np.unravel_index(flat, cert.cell_bounds.shape))
+        for _ in range(3):
+            point = axes[idx] + gen.uniform(0.0, 1.0, 4) * (axes[idx + 1] - axes[idx])
+            assert family_max(point) >= bounds[flat]
+    # the least verified cell comes from the bisection around the grid minimum
+    worst = cert.worst_cell
+    assert cert.global_min_max_gap == worst["refined_gap"] > cert.gap_threshold
+    assert worst["refined_halfwidth"] < 0.1 and cert.refined_count > 0
+    for _ in range(100):
+        point = np.array(worst["refined_point"]) + gen.uniform(-1, 1, 4) * worst["refined_halfwidth"]
+        assert family_max(point) >= worst["refined_gap"]
+
+
+def test_certificate_reports_box_and_exterior_guarantees(body_c):
+    cert = bh.certify_no_contraction(
+        body_c, box_halfwidth=2.0, grid_n=21, eps_set=(0.1,), extra_planes=4, seed=0
+    )
+    box, ext = cert.box, cert.exterior
+    assert box["guarantee"] == "verified" and ext["guarantee"] == "verified"
+    assert box["cells_per_level"][0] == 20**4
+    assert sum(box["cells_per_level"][1:]) == cert.refined_count
+    assert 0.0 < box["allowance"] < 1e-11
+    assert ext["R"] == 2.0
+    assert ext["areas"]["a"] == pytest.approx(W0_AREA, abs=1e-12)
+    assert ext["areas"]["b"] == pytest.approx(SQRT2, abs=1e-12)
+    assert ext["bound"] == min(ext["areas"].values()) * 2.0 - cert.w0_area - box["allowance"]
+    assert len(cert.lifted) == 1 and cert.lifted[0]["lifted_gap"] == cert.worst_cell["local_gap"]
+    report = cert.to_report(deterministic=True)
+    assert report["box"] == box and report["exterior"] == ext
