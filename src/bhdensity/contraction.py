@@ -26,7 +26,7 @@ import numpy as np
 
 from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
-from .geom import Plane2, gram_schmidt, random_planes
+from .geom import Plane2, check_seed, gram_schmidt, random_planes
 from .sections import cross_section, section_areas
 
 SQRT2 = np.sqrt(2.0)
@@ -629,6 +629,7 @@ def certify_no_contraction(
         raise ValueError("eps_set must be nonempty inside (0, 0.2]")
     if not np.isfinite(gap_threshold):
         raise ValueError("gap_threshold must be finite")
+    check_seed(seed)
 
     t0 = time.perf_counter()
     target = _reduce_to_r4(body)

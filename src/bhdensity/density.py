@@ -29,6 +29,7 @@ from .geom import (
     Bivector,
     Plane2,
     _philox,
+    check_seed,
     gram_schmidt,
     hodge_star,
     hodge_star_codim,
@@ -120,10 +121,12 @@ def mc_section_volume(
     has no sample variance and gets an infinite stderr.  Chunks are keyed
     by (seed, chunk index) and their means and centred sums of squares are
     merged pairwise, so the result is independent of any parallel
-    scheduling of the chunks.
+    scheduling of the chunks.  Raises ValueError for a seed outside
+    [0, 2**64).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    check_seed(seed)
     m = basis.shape[1]
     done = 0
     mean = 0.0

@@ -116,38 +116,60 @@ class Bivector:
     __rmul__ = __mul__
 
 
-def gram_schmidt(a, b) -> Plane2:
-    """Orthonormalize two independent vectors, keeping u parallel to a.
+def dot_rows(a, b) -> np.ndarray:
+    """Dot products over the last axis of two broadcastable arrays.
 
-    Deterministic: u = a/|a| first, then b is orthogonalized against u.
-    Raises DegenerateSpan when the relative 2x2 Gram determinant is below
-    the span tolerance.
+    A stack of (1, n) @ (n, 1) products goes through the same BLAS dot as
+    np.dot and np.linalg.norm of one vector, so each value is bitwise the
+    one those give for rows of the same memory layout (BLAS sums unit-stride
+    and strided rows in different orders).
     """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def gram_schmidt_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalize pairs of vectors along the last axis, keeping u parallel to a.
+
+    Deterministic: u = a/|a| first, then b is orthogonalized against u in
+    two passes.  Returns the stacked bases (u, v).  Raises DegenerateSpan
+    when some pair's relative 2x2 Gram determinant is below the span
+    tolerance.
+    """
+    na2 = dot_rows(a, a)
+    nb2 = dot_rows(b, b)
+    if np.any(na2 == 0.0) or np.any(nb2 == 0.0):
+        raise DegenerateSpan("zero vector cannot span a plane")
+    ab = dot_rows(a, b)
+    if np.any(na2 * nb2 - ab * ab <= TOL.span_defect * na2 * nb2):
+        raise DegenerateSpan("vectors are numerically dependent")
+    u = a / np.sqrt(na2)[..., None]
+    w = b - dot_rows(u, b)[..., None] * u
+    w -= dot_rows(u, w)[..., None] * u  # second pass for orthogonality at 1e-16
+    return u, w / np.sqrt(dot_rows(w, w))[..., None]
+
+
+def gram_schmidt(a, b) -> Plane2:
+    """`gram_schmidt_rows` for one pair of vectors, as a checked Plane2."""
     a = as_vec(a)
     b = as_vec(b, a.size)
-    na2 = float(np.dot(a, a))
-    nb2 = float(np.dot(b, b))
-    if na2 == 0.0 or nb2 == 0.0:
-        raise DegenerateSpan("zero vector cannot span a plane")
-    gram = na2 * nb2 - float(np.dot(a, b)) ** 2
-    if gram <= TOL.span_defect * na2 * nb2:
-        raise DegenerateSpan("vectors are numerically dependent")
-    u = a / np.sqrt(na2)
-    w = b - np.dot(u, b) * u
-    w -= np.dot(u, w) * u  # second pass for orthogonality at 1e-16
-    v = w / np.linalg.norm(w)
-    return Plane2(u, v)
+    return Plane2(*gram_schmidt_rows(a, b))
+
+
+def wedge_rows(u, v) -> np.ndarray:
+    """Lexicographic coordinates u_i v_j - u_j v_i of u ^ v along the last axis.
+
+    The result is C-ordered, so its rows have unit stride like the
+    coordinates of one Bivector.
+    """
+    i, j = np.triu_indices(np.shape(u)[-1], k=1)
+    return np.ascontiguousarray(u[..., i] * v[..., j] - u[..., j] * v[..., i])
 
 
 def wedge(u, v) -> Bivector:
     """Exterior product of two vectors in lexicographic coordinates."""
     u = as_vec(u)
     v = as_vec(v, u.size)
-    n = u.size
-    outer = np.outer(u, v)
-    anti = outer - outer.T
-    iu = np.triu_indices(n, k=1)
-    return Bivector(anti[iu], n)
+    return Bivector(wedge_rows(u, v), u.size)
 
 
 def hodge_star(w: Bivector):
@@ -214,6 +236,16 @@ def plucker_defect(w: Bivector) -> float:
     return float(np.sqrt(total))
 
 
+def check_seed(seed, stream=None) -> None:
+    """Raise ValueError unless seed (and stream, if given) lie in [0, 2**64).
+
+    That is the range of a Philox key word.
+    """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if value is not None and not 0 <= value < 2**64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+
+
 def _philox(seed, stream=None) -> np.random.Generator:
     key = [np.uint64(seed), np.uint64(0 if stream is None else stream)]
     return np.random.Generator(np.random.Philox(key=key))
@@ -224,8 +256,10 @@ def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
 
     Gram-Schmidt applied to two standard Gaussian vectors; identical
     (seed, stream) always yields the identical plane.  Near-degenerate
-    draws are redrawn from the same stream.
+    draws are redrawn from the same stream.  Raises ValueError for a seed or
+    stream outside [0, 2**64).
     """
+    check_seed(seed, stream)
     gen = _philox(seed, stream)
     while True:
         a = gen.standard_normal(n)

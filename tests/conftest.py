@@ -97,3 +97,27 @@ def clipped_section_area(functionals, plane: bh.Plane2) -> float:
         if nx != 0.0 or ny != 0.0:
             poly = _clip_halfplane(poly, nx, ny, 1.0)
     return bh.shoelace_area(poly)
+
+
+def per_trial_phi_dim4(body, seed: int, trials: int):
+    """Independent oracle for the dim-4 probe: one draw, wedge and plane per trial.
+
+    Each trial's triple comes from `_shared_line_draw` as Bivector objects
+    and each of its three planes from `gram_schmidt`; one `section_areas`
+    call scores them.  Returns the triples, the 2-densities (trials, 3) and
+    the 1e-8 bands.
+    """
+    from bhdensity.probe import _shared_line_draw
+
+    U = np.empty((trials, 3, 4))
+    V = np.empty((trials, 3, 4))
+    norms = np.empty((trials, 3))
+    triples = []
+    for i in range(trials):
+        (u, v, t), triple = _shared_line_draw(seed, 4, i)
+        for j, (b, w) in enumerate(zip((v + t, v, t), triple)):
+            plane = bh.gram_schmidt(u, b)
+            U[i, j], V[i, j], norms[i, j] = plane.u, plane.v, w.norm
+        triples.append(triple)
+    areas = bh.section_areas(body, U.reshape(-1, 4), V.reshape(-1, 4))
+    return triples, math.pi * norms / areas.reshape(-1, 3), np.full(trials, 1e-8)

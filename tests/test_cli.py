@@ -149,6 +149,26 @@ def test_zero_is_not_unset(args, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "args, seed",
+    [
+        (["probe", "--body", "rotated-cross4", "--trials", "10", "--seed", "-1"], "-1"),
+        (["probe", "--body", "cross4", "--trials", "10", "--seed", str(2**64)], str(2**64)),
+        (["probe", "--body", "complex-lp", "--p", "3", "--k", "3", "--trials", "1",
+          "--mc-samples", "100", "--seed", str(2**44)], str(2**44)),
+        (["certify", "--body", "rotated-cross4", "--seed", "-1"], "-1"),
+        (["density", "--body", "cross4", "--bivector", "1,0,0,0,0,0", "--codim2",
+          "--mc-samples", "100", "--seed", "-1"], "-1"),
+        (["section", "--body", "rotated-cross4", "--plane", "random:-3"], "-3"),
+    ],
+    ids=["probe-negative", "probe-2**64", "probe-dim6-derived", "certify", "density", "section"],
+)
+def test_seed_out_of_range_is_error(args, seed, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and seed in err and "Traceback" not in err
+
+
 def test_reports_bitwise_identical(tmp_path):
     # identical config (including the output path) => identical bytes
     args = ["section", "--body", "rotated-cross4", "--plane", "v1:0.05"]

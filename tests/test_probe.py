@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import bhdensity as bh
-from conftest import random_abs_sum_body
+from bhdensity import probe
+from bhdensity.geom import _philox
+from conftest import per_trial_phi_dim4, random_abs_sum_body
 
 
 def test_shared_line_construction_is_simple():
@@ -98,3 +101,100 @@ def test_scan_complex_small():
 def test_scan_rejects_bad_dimension():
     with pytest.raises(bh.DimensionMismatch):
         bh.semi_ellipticity_scan(bh.make_euclidean_ball(5), 10, seed=0)
+
+
+def _triple_bits(triple):
+    return [b.coords.tobytes() for b in triple]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_draw_matches_per_trial_draw(seed):
+    uvt, triples = probe._shared_line_rows(seed, 0, 2000)
+    for i in range(2000):
+        vecs, triple = probe._shared_line_draw(seed, 4, i)
+        assert np.stack(vecs).tobytes() == uvt[i].tobytes()
+        assert _triple_bits(triple) == [c.tobytes() for c in triples[i]]
+
+
+class _DegenerateFirstDraw:
+    """A stream whose first 12 normals have v = 0, followed by the real stream."""
+
+    def __init__(self, gen):
+        first = gen.standard_normal(12)
+        first[4:8] = 0.0
+        self.pending = first
+        self.gen = gen
+
+    def standard_normal(self, size):
+        take, self.pending = self.pending[:size], self.pending[size:]
+        return np.concatenate((take, self.gen.standard_normal(size - take.size)))
+
+
+def test_batched_draw_redraws_degenerate_stream(monkeypatch):
+    def philox(seed, stream=None):
+        gen = _philox(seed, stream)
+        return _DegenerateFirstDraw(gen) if stream == 5 else gen
+
+    monkeypatch.setattr(probe, "_philox", philox)
+    uvt, triples = probe._shared_line_rows(3, 0, 10)
+    vecs, triple = probe._shared_line_draw(3, 4, 5)
+    second = _philox(3, 5).standard_normal(24)[12:].reshape(3, 4)
+    assert np.array_equal(np.stack(vecs), second)
+    assert uvt[5].tobytes() == second.tobytes()
+    assert _triple_bits(triple) == [c.tobytes() for c in triples[5]]
+    for i in (4, 6):
+        assert uvt[i].tobytes() == _philox(3, i).standard_normal(12).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_body, trials",
+    [
+        (bh.make_rotated_cross_polytope, 2000),
+        (lambda: bh.make_cross_polytope(4), 2000),
+        (lambda: random_abs_sum_body(3), 2000),
+        (lambda: random_abs_sum_body(17), 2000),
+        (lambda: bh.make_euclidean_ball(4), 200),
+        (lambda: bh.make_complex_lp(3.0, 2), 200),
+    ],
+    ids=["rotated-cross4", "cross4", "random-abs-sum-3", "random-abs-sum-17", "euclid-4",
+         "complex-lp-3-2"],
+)
+def test_batched_scan_matches_per_trial_oracle(make_body, trials):
+    body = make_body()
+    seed = 1
+    triples, ref_phis, ref_bands = per_trial_phi_dim4(body, seed, trials)
+    phis, bands = probe._phi_dim4(body, seed, 0, trials)
+    assert np.all(np.abs(phis - ref_phis) <= 1e-14 * np.abs(ref_phis))
+    assert np.array_equal(bands, ref_bands)
+    ref_slacks = ref_phis[:, 1] + ref_phis[:, 2] - ref_phis[:, 0]
+    worst = int(np.argmin(ref_slacks))
+    assert int(np.argmin(phis[:, 1] + phis[:, 2] - phis[:, 0])) == worst
+    rep = bh.semi_ellipticity_scan(body, trials, seed=seed)
+    assert rep.violations == int(np.count_nonzero(ref_slacks < -ref_bands))
+    t = rep.worst_trial
+    assert _triple_bits((t.w, t.w1, t.w2)) == _triple_bits(triples[worst])
+
+
+def _report_bits(rep):
+    t = rep.worst_trial
+    return (rep.trials, rep.min_slack.hex(), rep.violations, t.phi.hex(), t.phi1.hex(),
+            t.phi2.hex(), _triple_bits((t.w, t.w1, t.w2)))
+
+
+def test_scan_chunks_merge_to_single_chunk_report(body_c, monkeypatch):
+    # at seed 0 the worst of 100 trials is trial 88, inside the 13th chunk of 7
+    single = bh.semi_ellipticity_scan(body_c, 100, seed=0)
+    monkeypatch.setattr(probe, "_CHUNK", 7)
+    chunked = bh.semi_ellipticity_scan(body_c, 100, seed=0)
+    assert _report_bits(chunked) == _report_bits(single)
+    assert _triple_bits((single.worst_trial.w,)) == _triple_bits(
+        (bh.shared_line_decomposition(0, 4, stream=88)[0],)
+    )
+
+
+def test_scan_rejects_seed_out_of_range(body_c):
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+            bh.semi_ellipticity_scan(body_c, 10, seed=seed)
+    with pytest.raises(ValueError, match=f"seed {2**44} is too large"):
+        bh.semi_ellipticity_scan(bh.make_complex_lp(3.0, 3), 1, seed=2**44, mc_samples=100)
