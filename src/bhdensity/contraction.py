@@ -400,9 +400,10 @@ def _build_family(body: Body, eps_set, extra_planes: int, seed: int):
 
 
 def _plane_tables(body: Body, planes):
-    """Section areas and the (n_planes, 6) Plucker table of the planes."""
-    areas = np.array([cross_section(body, pl).euclidean_area for pl in planes])
-    return areas, np.array([_plucker(pl.u, pl.v) for pl in planes])
+    """Section areas (one `section_areas` call) and the (n_planes, 6) Plucker table."""
+    U = np.array([pl.u for pl in planes])
+    V = np.array([pl.v for pl in planes])
+    return section_areas(body, U, V), np.stack(_plucker(U.T, V.T), axis=1)
 
 
 _WITNESS_TIE = 1e-12
@@ -637,11 +638,11 @@ def certify_no_contraction(
         raise DimensionMismatch("certificate runs on 4-dimensional bodies")
 
     labels, planes = _build_family(target, eps_set, extra_planes, seed)
-    areas, P = _plane_tables(target, planes)
-    w0_area = cross_section(target, w0_plane(4)).euclidean_area
     eye = np.eye(4)  # span(e2, e3), span(e2, e4), span(e1, e3), span(e1, e4): f = -a, -b, c, d
-    ext_areas = [cross_section(target, Plane2(eye[i], eye[j])).euclidean_area
-                 for i, j in ((1, 2), (1, 3), (0, 2), (0, 3))]
+    ext_planes = [Plane2(eye[i], eye[j]) for i, j in ((1, 2), (1, 3), (0, 2), (0, 3))]
+    areas, P = _plane_tables(target, planes + [w0_plane(4)] + ext_planes)
+    w0_area, ext_areas = float(areas[-5]), areas[-4:].tolist()
+    areas, P = areas[:-5], P[:-5]
     R = float(box_halfwidth)
     top_area = max(areas.max(), max(ext_areas))
     allowance = 64.0 * np.finfo(float).eps * (top_area * (1.0 + 4.0 * R + 2.0 * R * R) + w0_area)

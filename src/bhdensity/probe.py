@@ -7,12 +7,11 @@ simple exactly when their planes share a line, so drawing u ^ v and u ^ t
 covers every two-term simple decomposition up to degenerate cases.
 Violations are findings, not errors.
 
-Every trial draws from its own Philox stream (seed, trial index), so a
-trial's triple does not depend on how the scan is cut up.  Dimension 4 runs
-the geometry as array operations over chunks of `_CHUNK` trials: the wedges,
-norms and rejection test of the draws, the Gram-Schmidt bases of the three
-planes and one `section_areas` call per chunk.  One reduction merges the
-chunks' slacks, so a scan's memory does not grow with its trial count.
+Every trial draws from its own Philox stream (seed, trial index) through
+one kernel, `_shared_line_rows`, so a trial's triple does not depend on how
+the scan is cut up.  Scans run the geometry as array operations over chunks
+of `_CHUNK` trials; one reduction merges the chunks' slacks and keeps the
+worst trial's triple, so a scan's memory does not grow with its trial count.
 """
 
 import math
@@ -31,7 +30,6 @@ from .geom import (
     dot_rows,
     gram_schmidt_rows,
     hodge_star,
-    wedge,
     wedge_rows,
 )
 from .sections import section_areas
@@ -66,100 +64,84 @@ class ScanReport:
     mc_samples: int | None = None
 
 
-def _shared_line_draw(seed: int, n: int, stream: int | None):
-    """Vectors (u, v, t) and the normalized triple (u^(v+t), u^v, u^t)."""
-    if n not in (4, 6):
-        raise DimensionMismatch("decomposition trials are drawn in dimension 4 or 6")
-    gen = _philox(seed, stream)
-    while True:
-        u = gen.standard_normal(n)
-        v = gen.standard_normal(n)
-        t = gen.standard_normal(n)
-        w1 = wedge(u, v)
-        w2 = wedge(u, t)
-        w = w1 + w2
-        scale = w.norm
-        if min(w1.norm, w2.norm) < 1e-6 or scale < 1e-6:
-            continue
-        w1 = (1.0 / scale) * w1
-        w2 = (1.0 / scale) * w2
-        return (u, v, t), (w1 + w2, w1, w2)
-
-
-def shared_line_decomposition(seed: int, n: int, stream: int | None = None):
-    """Simple bivector triple (u^(v+t), u^v, u^t), normalized to |w| = 1.
-
-    The planes of the two parts share the line through u, so the sum is
-    simple too; degenerate draws are resampled from the same stream.
-    Raises ValueError for a seed or stream outside [0, 2**64).
-    """
-    check_seed(seed, stream)
-    return _shared_line_draw(seed, n, stream)[1]
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, bitwise those of `Bivector.norm`."""
     return np.sqrt(dot_rows(x, x))
 
 
-def _shared_line_rows(seed: int, start: int, stop: int):
-    """Vectors (m, 3, 4) and normalized triples (m, 3, 6) of dim-4 trials start..stop-1.
+def _shared_line_rows(seed: int, n: int, streams):
+    """Vectors (m, 3, n) and normalized triples (m, 3, n(n-1)/2) of the given streams.
 
-    Row k holds (u, v, t) and the coordinates of (w, w1, w2), bitwise those
-    of `_shared_line_draw(seed, 4, start + k)`: a stream's first 12 normals
-    are its first three 4-normal draws, and the wedges and norms take the
-    same floating-point operations.  Rejected draws are rare; they are
-    redrawn by `_shared_line_draw` from their own streams.
+    Row k holds (u, v, t), 3n normals of `_philox(seed, streams[k])`, and
+    (w, w1, w2) = (u^(v+t), u^v, u^t) scaled to |w| = 1; the planes of w1
+    and w2 share the line through u, so w is simple too.  A draw with |w|,
+    |w1| or |w2| below 1e-6 is replaced by the next 3n normals of its own
+    stream, so a row depends only on (seed, stream).
     """
-    uvt = np.stack([_philox(seed, i).standard_normal(12) for i in range(start, stop)])
-    uvt = uvt.reshape(-1, 3, 4)
-    u, v, t = uvt[:, 0], uvt[:, 1], uvt[:, 2]
-    w1 = wedge_rows(u, v)
-    w2 = wedge_rows(u, t)
-    scale = _norms(w1 + w2)
-    redraw = (np.minimum(_norms(w1), _norms(w2)) < 1e-6) | (scale < 1e-6)
-    inv = 1.0 / np.where(redraw, 1.0, scale)[:, None]
-    w1 = w1 * inv
-    w2 = w2 * inv
-    triple = np.stack((w1 + w2, w1, w2), axis=1)
-    for k in np.flatnonzero(redraw):
-        uvt[k], biv = _shared_line_draw(seed, 4, start + int(k))
-        triple[k] = [b.coords for b in biv]
-    return uvt, triple
+    if n not in (4, 6):
+        raise DimensionMismatch("decomposition trials are drawn in dimension 4 or 6")
+    streams = list(streams)
+    uvt = np.stack([_philox(seed, i).standard_normal(3 * n) for i in streams])
+    triple = np.empty((len(streams), 3, n * (n - 1) // 2))
+    rows, draws = np.arange(len(streams)), 1
+    while rows.size:
+        u, v, t = uvt[rows, :n], uvt[rows, n : 2 * n], uvt[rows, 2 * n :]
+        w1 = wedge_rows(u, v)
+        w2 = wedge_rows(u, t)
+        scale = _norms(w1 + w2)
+        redraw = (np.minimum(_norms(w1), _norms(w2)) < 1e-6) | (scale < 1e-6)
+        inv = 1.0 / np.where(redraw, 1.0, scale)[:, None]
+        w1, w2 = w1 * inv, w2 * inv
+        triple[rows] = np.stack((w1 + w2, w1, w2), axis=1)
+        rows, draws = rows[redraw], draws + 1
+        for k in rows:
+            uvt[k] = _philox(seed, streams[k]).standard_normal(3 * n * draws)[-3 * n :]
+    return uvt.reshape(-1, 3, n), triple
+
+
+def shared_line_decomposition(seed: int, n: int, stream: int | None = None):
+    """Simple bivector triple (u^(v+t), u^v, u^t), |w| = 1: one row of `_shared_line_rows`.
+
+    Raises ValueError for a seed or stream outside [0, 2**64).
+    """
+    check_seed(seed, stream)
+    return tuple(Bivector(c, n) for c in _shared_line_rows(seed, n, [stream])[1][0])
 
 
 def _phi_dim4(body: Body, seed: int, start: int, stop: int):
-    """2-densities (m, 3) and violation bands of trials start..stop-1.
+    """2-densities (m, 3), violation bands and triples of trials start..stop-1.
 
     The planes come straight from the drawn vectors: w, w1 and w2 span
     (u, v+t), (u, v) and (u, t), orthonormalized together by
     `gram_schmidt_rows` and scored by one `section_areas` call.  The band
     is 1e-8.
     """
-    uvt, triple = _shared_line_rows(seed, start, stop)
+    uvt, triple = _shared_line_rows(seed, 4, range(start, stop))
     u, v, t = uvt[:, 0], uvt[:, 1], uvt[:, 2]
     b = np.stack((v + t, v, t), axis=1)
     U, V = gram_schmidt_rows(np.broadcast_to(u[:, None], b.shape), b)
     areas = section_areas(body, U.reshape(-1, 4), V.reshape(-1, 4)).reshape(-1, 3)
-    return math.pi * _norms(triple) / areas, np.full(len(uvt), 1e-8)
+    return math.pi * _norms(triple) / areas, np.full(len(uvt), 1e-8), triple
 
 
 def _phi_dim6(body: Body, seed: int, start: int, stop: int, samples: int):
-    """Codim-2 densities (m, 3) of the Hodge duals of trials start..stop-1, and bands.
+    """Codim-2 densities (m, 3) of the Hodge duals of trials start..stop-1, bands and triples.
 
     The band of a trial is three combined standard errors.
     """
+    triple = _shared_line_rows(seed, 6, range(start, stop))[1]
     values = [
         [
-            bh_density_codim2(body, hodge_star(biv), samples, seed=(seed << 20) + i * 3 + j)
-            for j, biv in enumerate(shared_line_decomposition(seed, 6, stream=i))
+            bh_density_codim2(body, hodge_star(Bivector(c, 6)), samples,
+                              seed=(seed << 20) + i * 3 + j)
+            for j, c in enumerate(row)
         ]
-        for i in range(start, stop)
+        for i, row in zip(range(start, stop), triple)
     ]
     phis = np.array([[dv.value for dv in row] for row in values])
     errs = [[dv.stderr or 0.0 for dv in row] for row in values]
     bands = np.array([3.0 * math.sqrt(sum(e * e for e in row)) for row in errs])
-    return phis, bands
+    return phis, bands, triple
 
 
 def semi_ellipticity_scan(
@@ -167,16 +149,18 @@ def semi_ellipticity_scan(
 ) -> ScanReport:
     """Run decomposition trials of phi(w) <= phi(w1) + phi(w2).
 
+    Trials run in chunks of `_CHUNK`, each drawn by `_shared_line_rows`.
     Four-dimensional bodies score the planes of the drawn triples through
-    `section_areas` (violation band 1e-8), in chunks of `_CHUNK` trials;
-    six-dimensional bodies test the degree-4 duals of the drawn bivector
-    triples through the codimension-two Monte Carlo densities (mc_samples
-    each, 10^6 when unset, seeded (seed << 20) + 3 * trial + j), with the
-    band widened to three combined standard errors.  Reports the minimum
-    slack, the worst trial (the first one at the minimum) and the violation
-    count; for n = 6 the stored trial bivectors are the Hodge duals of the
-    tested multivectors.  Raises ValueError for a seed outside [0, 2**64),
-    or one whose dim-6 Monte Carlo seeds would leave it.
+    `section_areas` (violation band 1e-8); six-dimensional bodies test the
+    degree-4 duals of the drawn bivector triples through the codimension-two
+    Monte Carlo densities (mc_samples each, 10^6 when unset, seeded
+    (seed << 20) + 3 * trial + j), with the band widened to three combined
+    standard errors.  Reports the minimum slack, the worst trial (the first
+    one at the minimum, its triple kept from its chunk, so bitwise
+    `shared_line_decomposition(seed, n, trial)`) and the violation count;
+    for n = 6 the stored trial bivectors are the Hodge duals of the tested
+    multivectors.  Raises ValueError for a seed outside [0, 2**64), or one
+    whose dim-6 Monte Carlo seeds would leave it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -198,13 +182,12 @@ def semi_ellipticity_scan(
         raise DimensionMismatch("scan supports dimension 4 (exact) and 6 (Monte Carlo)")
     violations = 0
     for start in range(0, trials, _CHUNK):
-        phis, bands = densities(start, min(start + _CHUNK, trials))
+        phis, bands, triples = densities(start, min(start + _CHUNK, trials))
         slacks = phis[:, 1] + phis[:, 2] - phis[:, 0]
         k = int(np.argmin(slacks))
         if start == 0 or slacks[k] < min_slack:
-            worst, min_slack, worst_phis = start + k, float(slacks[k]), phis[k]
+            min_slack, worst_phis, worst_triple = float(slacks[k]), phis[k], triples[k].copy()
         violations += int(np.count_nonzero(slacks < -bands))
-    phi, phi1, phi2 = (float(x) for x in worst_phis)
-    triple = shared_line_decomposition(seed, body.n, stream=worst)
-    worst_trial = DecompositionTrial(*triple, body.label, phi, phi1, phi2)
+    worst_trial = DecompositionTrial(*(Bivector(c, body.n) for c in worst_triple), body.label,
+                                     *(float(x) for x in worst_phis))
     return ScanReport(body.label, trials, min_slack, violations, worst_trial, samples)

@@ -8,8 +8,9 @@ O(k^2) work for k functionals.  Smooth bodies are sampled radially.
 
 `section_areas` is the one batched area entry point: it sends abs-sum
 bodies through the kernel in one call and every other body through
-`cross_section` plane by plane.  The contraction maximizer and the
-semi-ellipticity probe score their planes through it.
+`cross_section` plane by plane.  The certificate, the contraction maximizer
+and the semi-ellipticity probe score their planes through it.  A plane's
+area is bitwise the same alone, in any batch and in `cross_section`.
 """
 
 from dataclasses import dataclass
@@ -64,11 +65,23 @@ def shoelace_area(vertices) -> float:
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
 
 
+def _restrict(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Values X[b] . L[j] as an (n_rows, k) array, summed coordinate by coordinate.
+
+    BLAS rounds gemv and gemm differently; this sum gives a row the same bits in any batch.
+    """
+    X = X.T
+    out = L[:, :1] * X[0]
+    for i in range(1, L.shape[1]):
+        out += L[:, i : i + 1] * X[i]
+    return np.ascontiguousarray(out.T)
+
+
 def section_constraints(body: AbsSumBody, plane: Plane2) -> np.ndarray:
     """Pairs (a_j, b_j) with the section equal to {sum_j |a_j x + b_j y| <= 1}."""
     if body.n != plane.n:
         raise DimensionMismatch("body and plane dimensions differ")
-    return np.column_stack((body.functionals @ plane.u, body.functionals @ plane.v))
+    return _restrict(body.functionals, np.stack((plane.u, plane.v))).T
 
 
 def section_fan(A: np.ndarray, Bc: np.ndarray):
@@ -124,10 +137,13 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
 
     All sections are central.  For product bodies whose plane lies entirely
     inside the left factor the section equals the factor section, so the
-    computation is delegated there (keeping polyhedral exactness).
+    computation is delegated there (keeping polyhedral exactness).  Raises
+    ValueError for radial_n below 3.
     """
     if body.n != plane.n:
         raise DimensionMismatch("body and plane dimensions differ")
+    if radial_n is not None and radial_n < 3:
+        raise ValueError(f"radial_n must be >= 3, got {radial_n}")
     if isinstance(body, AbsSumBody):
         coeffs = section_constraints(body, plane)
         areas, z, keep = section_fan(coeffs[None, :, 0], coeffs[None, :, 1])
@@ -138,20 +154,19 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
         tail = max(np.abs(plane.u[nl:]).max(initial=0.0), np.abs(plane.v[nl:]).max(initial=0.0))
         if tail <= 1e-13:
             return cross_section(body.left, Plane2(plane.u[:nl], plane.v[:nl]), radial_n)
-    return _radial_section(body, plane, radial_n or TOL.radial_n)
+    return _radial_section(body, plane, TOL.radial_n if radial_n is None else radial_n)
 
 
 def abs_sum_section_areas(functionals: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Exact section areas for one abs-sum body over a batch of planes.
 
     U, V hold orthonormal plane bases row-wise.  This is the `section_fan`
-    kernel on the restricted functionals, so the areas equal those of
-    `cross_section` on the same planes.
+    kernel on the restricted functionals, so the areas are bitwise those of
+    `cross_section` on the same planes, whatever the batch.
     """
     L = np.asarray(functionals, dtype=float)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    return section_fan(U @ L.T, V @ L.T)[0]
+    return section_fan(_restrict(L, np.asarray(U, dtype=float)),
+                       _restrict(L, np.asarray(V, dtype=float)))[0]
 
 
 def section_areas(

@@ -99,22 +99,41 @@ def clipped_section_area(functionals, plane: bh.Plane2) -> float:
     return bh.shoelace_area(poly)
 
 
+def per_trial_draw(seed: int, n: int, stream: int):
+    """Independent oracle for the probe's draws: one stream, one trial at a time.
+
+    Draws u, v, t (n normals each) from the trial's Philox stream until the
+    wedges u^v, u^t and their sum all have norm at least 1e-6, then scales
+    the triple to |w| = 1.  Returns (u, v, t) and the Bivector triple.
+    """
+    from bhdensity.geom import _philox
+
+    gen = _philox(seed, stream)
+    while True:
+        u, v, t = (gen.standard_normal(n) for _ in range(3))
+        w1 = bh.wedge(u, v)
+        w2 = bh.wedge(u, t)
+        scale = (w1 + w2).norm
+        if min(w1.norm, w2.norm) >= 1e-6 and scale >= 1e-6:
+            w1 = (1.0 / scale) * w1
+            w2 = (1.0 / scale) * w2
+            return (u, v, t), (w1 + w2, w1, w2)
+
+
 def per_trial_phi_dim4(body, seed: int, trials: int):
     """Independent oracle for the dim-4 probe: one draw, wedge and plane per trial.
 
-    Each trial's triple comes from `_shared_line_draw` as Bivector objects
-    and each of its three planes from `gram_schmidt`; one `section_areas`
-    call scores them.  Returns the triples, the 2-densities (trials, 3) and
-    the 1e-8 bands.
+    Each trial's triple comes from `per_trial_draw` as Bivector objects and
+    each of its three planes from `gram_schmidt`; one `section_areas` call
+    scores them.  Returns the triples, the 2-densities (trials, 3) and the
+    1e-8 bands.
     """
-    from bhdensity.probe import _shared_line_draw
-
     U = np.empty((trials, 3, 4))
     V = np.empty((trials, 3, 4))
     norms = np.empty((trials, 3))
     triples = []
     for i in range(trials):
-        (u, v, t), triple = _shared_line_draw(seed, 4, i)
+        (u, v, t), triple = per_trial_draw(seed, 4, i)
         for j, (b, w) in enumerate(zip((v + t, v, t), triple)):
             plane = bh.gram_schmidt(u, b)
             U[i, j], V[i, j], norms[i, j] = plane.u, plane.v, w.norm

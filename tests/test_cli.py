@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
+from bhdensity import cli
 from bhdensity.cli import main, parse_plane
 from conftest import V9_GAP, W0_AREA
 
@@ -140,13 +141,25 @@ def test_probe_zero_trials_is_error(capsys):
          "--mc-samples", "0"],
         ["gap", "--body", "euclid-n", "--n", "0", "--proj", "0,0,0,0", "--plane", "w0"],
         ["section", "--body", "product-c-b", "--euclidean-dim", "0", "--plane", "w0"],
+        ["section", "--body", "euclid-n", "--n", "4", "--plane", "w0", "--radial-n", "0"],
     ],
-    ids=["mc-samples", "n", "euclidean-dim"],
+    ids=["mc-samples", "n", "euclidean-dim", "radial-n"],
 )
 def test_zero_is_not_unset(args, capsys):
     # an explicit 0 is refused, never replaced by the option's default
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_of_memory_is_error(monkeypatch, capsys):
+    # an oversized flag ends with a message, not a traceback; nothing is allocated
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.31 TiB for an array")
+
+    monkeypatch.setattr(cli, "certify_no_contraction", oversized)
+    assert main(["certify", "--body", "rotated-cross4", "--grid", "1001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "7.31 TiB" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
-from bhdensity import probe
+from bhdensity import geom, probe
+from bhdensity.density import DensityValue
 from bhdensity.geom import _philox
-from conftest import per_trial_phi_dim4, random_abs_sum_body
+from conftest import per_trial_draw, per_trial_phi_dim4, random_abs_sum_body
 
 
 def test_shared_line_construction_is_simple():
@@ -109,19 +110,20 @@ def _triple_bits(triple):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_draw_matches_per_trial_draw(seed):
-    uvt, triples = probe._shared_line_rows(seed, 0, 2000)
-    for i in range(2000):
-        vecs, triple = probe._shared_line_draw(seed, 4, i)
-        assert np.stack(vecs).tobytes() == uvt[i].tobytes()
-        assert _triple_bits(triple) == [c.tobytes() for c in triples[i]]
+    for n in (4, 6):
+        uvt, triples = probe._shared_line_rows(seed, n, range(2000))
+        for i in range(2000):
+            vecs, triple = per_trial_draw(seed, n, i)
+            assert np.stack(vecs).tobytes() == uvt[i].tobytes()
+            assert _triple_bits(triple) == [c.tobytes() for c in triples[i]]
 
 
 class _DegenerateFirstDraw:
-    """A stream whose first 12 normals have v = 0, followed by the real stream."""
+    """A stream whose first 3n normals have v = 0, followed by the real stream."""
 
-    def __init__(self, gen):
-        first = gen.standard_normal(12)
-        first[4:8] = 0.0
+    def __init__(self, gen, n):
+        first = gen.standard_normal(3 * n)
+        first[n : 2 * n] = 0.0
         self.pending = first
         self.gen = gen
 
@@ -131,19 +133,23 @@ class _DegenerateFirstDraw:
 
 
 def test_batched_draw_redraws_degenerate_stream(monkeypatch):
-    def philox(seed, stream=None):
-        gen = _philox(seed, stream)
-        return _DegenerateFirstDraw(gen) if stream == 5 else gen
+    # the oracle's loop and the kernel both read the patched stream 5
+    for n in (4, 6):
+        def philox(seed, stream=None):
+            gen = _philox(seed, stream)
+            return _DegenerateFirstDraw(gen, n) if stream == 5 else gen
 
-    monkeypatch.setattr(probe, "_philox", philox)
-    uvt, triples = probe._shared_line_rows(3, 0, 10)
-    vecs, triple = probe._shared_line_draw(3, 4, 5)
-    second = _philox(3, 5).standard_normal(24)[12:].reshape(3, 4)
-    assert np.array_equal(np.stack(vecs), second)
-    assert uvt[5].tobytes() == second.tobytes()
-    assert _triple_bits(triple) == [c.tobytes() for c in triples[5]]
-    for i in (4, 6):
-        assert uvt[i].tobytes() == _philox(3, i).standard_normal(12).tobytes()
+        monkeypatch.setattr(probe, "_philox", philox)
+        monkeypatch.setattr(geom, "_philox", philox)
+        uvt, triples = probe._shared_line_rows(3, n, range(10))
+        vecs, triple = per_trial_draw(3, n, 5)
+        second = _philox(3, 5).standard_normal(6 * n)[3 * n :].reshape(3, n)
+        assert np.array_equal(np.stack(vecs), second)
+        assert uvt[5].tobytes() == second.tobytes()
+        assert _triple_bits(triple) == [c.tobytes() for c in triples[5]]
+        assert _triple_bits(probe.shared_line_decomposition(3, n, 5)) == _triple_bits(triple)
+        for i in (4, 6):
+            assert uvt[i].tobytes() == _philox(3, i).standard_normal(3 * n).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -163,9 +169,12 @@ def test_batched_scan_matches_per_trial_oracle(make_body, trials):
     body = make_body()
     seed = 1
     triples, ref_phis, ref_bands = per_trial_phi_dim4(body, seed, trials)
-    phis, bands = probe._phi_dim4(body, seed, 0, trials)
+    phis, bands, drawn = probe._phi_dim4(body, seed, 0, trials)
     assert np.all(np.abs(phis - ref_phis) <= 1e-14 * np.abs(ref_phis))
     assert np.array_equal(bands, ref_bands)
+    assert [c.tobytes() for row in drawn for c in row] == [
+        b for triple in triples for b in _triple_bits(triple)
+    ]
     ref_slacks = ref_phis[:, 1] + ref_phis[:, 2] - ref_phis[:, 0]
     worst = int(np.argmin(ref_slacks))
     assert int(np.argmin(phis[:, 1] + phis[:, 2] - phis[:, 0])) == worst
@@ -189,6 +198,29 @@ def test_scan_chunks_merge_to_single_chunk_report(body_c, monkeypatch):
     assert _report_bits(chunked) == _report_bits(single)
     assert _triple_bits((single.worst_trial.w,)) == _triple_bits(
         (bh.shared_line_decomposition(0, 4, stream=88)[0],)
+    )
+
+
+def test_dim6_worst_trial_is_its_decomposition(monkeypatch):
+    # the Euclidean norm of the tested 4-vector stands in for the Monte Carlo
+    # density, so the worst trial is known; chunks of 7 put it past the first
+    def norm_density(body, m, mc_samples, seed):
+        value = float(np.linalg.norm(m))
+        return DensityValue(value, body.label, value, 0.0)
+
+    monkeypatch.setattr(probe, "bh_density_codim2", norm_density)
+    monkeypatch.setattr(probe, "_CHUNK", 7)
+    seed, trials = 3, 40
+    rep = bh.semi_ellipticity_scan(bh.make_complex_lp(3.0, 3), trials, seed=seed, mc_samples=100)
+    slacks = []
+    for i in range(trials):
+        phi = [np.linalg.norm(bh.hodge_star(b)) for b in per_trial_draw(seed, 6, i)[1]]
+        slacks.append(phi[1] + phi[2] - phi[0])
+    worst = int(np.argmin(slacks))
+    assert worst >= 7 and rep.min_slack == slacks[worst]
+    t = rep.worst_trial
+    assert _triple_bits((t.w, t.w1, t.w2)) == _triple_bits(
+        bh.shared_line_decomposition(seed, 6, stream=worst)
     )
 
 

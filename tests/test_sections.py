@@ -146,6 +146,22 @@ def test_section_areas_match_cross_section_abs_sum(body_c):
         assert np.all(np.abs(areas - exact) <= 1e-14 * exact)
 
 
+def test_section_areas_do_not_depend_on_the_batch(body_c):
+    # a plane's area bits are the same in a batch, alone and in cross_section
+    planes = bh.random_planes(7, 4, 2000)
+    U, V = _plane_rows(planes)
+    batched = bh.section_areas(body_c, U, V)
+    alone = [bh.section_areas(body_c, U[i : i + 1], V[i : i + 1])[0] for i in range(len(planes))]
+    exact = [bh.cross_section(body_c, pl).euclidean_area for pl in planes]
+    assert batched.tolist() == alone == exact
+
+
+@pytest.mark.parametrize("radial_n", [1, 2])
+def test_radial_n_below_three_is_refused(ball4, radial_n):
+    with pytest.raises(ValueError, match="radial_n must be >= 3"):
+        bh.cross_section(ball4, bh.w0_plane(4), radial_n)
+
+
 @pytest.mark.parametrize("radial_n", [None, 1024])
 def test_section_areas_smooth_bodies_are_cross_section(ball4, radial_n):
     # smooth bodies take cross_section plane by plane: the same numbers
