@@ -163,7 +163,10 @@ def cmd_density(args):
 
 def cmd_gap(args):
     body = build_body(args)
-    proj = ProjectionW0(*_parse_floats(args.proj))
+    nums = _parse_floats(args.proj)
+    if len(nums) != 4 or not np.all(np.isfinite(nums)):
+        raise UsageError(f"--proj needs four finite numbers a,b,c,d, got {args.proj!r}")
+    proj = ProjectionW0(*nums)
     plane = parse_plane(args.plane, body.n)
     gap = contraction_gap(body, proj, plane)
     _emit(args, {"gap": gap, "area_factor": area_factor(proj, plane)})
@@ -288,7 +291,6 @@ def make_parser() -> _Parser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--deterministic", action="store_true",
                        help="omit the timestamp for bitwise-reproducible reports")
-        p.add_argument("--threads", type=int, default=threads)
 
     p = sub.add_parser("section", help="cross-section polygon and area")
     common(p)
@@ -316,6 +318,7 @@ def make_parser() -> _Parser:
     p.add_argument("--eps", default="0.02,0.05,0.1")
     p.add_argument("--extra-planes", type=int, default=64)
     p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("lemmas", help="CSV sweep of tilt families: bounds, areas, fits")

@@ -26,7 +26,15 @@ import numpy as np
 
 from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
-from .geom import Plane2, check_seed, gram_schmidt, random_planes
+from .geom import (
+    Plane2,
+    check_seed,
+    degenerate_rows,
+    gram_schmidt,
+    gram_schmidt_rows,
+    random_planes,
+    wedge_rows,
+)
 from .sections import cross_section, section_areas
 
 SQRT2 = np.sqrt(2.0)
@@ -40,15 +48,6 @@ class ProjectionW0:
     b: float = 0.0
     c: float = 0.0
     d: float = 0.0
-
-    def matrix(self, n: int = 4) -> np.ndarray:
-        if n < 4:
-            raise DimensionMismatch("projection family needs dimension >= 4")
-        m = np.zeros((n, n))
-        m[0, 0] = m[1, 1] = 1.0
-        m[0, 2], m[0, 3] = self.a, self.b
-        m[1, 2], m[1, 3] = self.c, self.d
-        return m
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -122,16 +121,12 @@ def w0_plane(n: int = 4) -> Plane2:
     return Plane2(u, v)
 
 
-def _plucker(u, v):
-    """[p01, p02, p03, p12, p13, p23], p_ij = u_i v_j - u_j v_i, indexing u, v on axis 0."""
-    return [u[i] * v[j] - u[j] * v[i] for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-
-
 def _signed_factors(a, b, c, d, p):
     """Signed area factor pi(u) ^ pi(v) of the projection with block [[a, b], [c, d]].
 
-    ``p`` holds the Plucker coordinates of span(u, v) along its first axis (six
-    numbers or a (6, n_planes) table); the parameters broadcast against them.
+    ``p`` holds the Plucker coordinates [p01, p02, p03, p12, p13, p23] of
+    span(u, v), the `wedge_rows` of u and v, along its first axis (six numbers
+    or a (6, n_planes) table); the parameters broadcast against them.
     """
     p01, p02, p03, p12, p13, p23 = p
     return p01 + c * p02 + d * p03 - a * p12 - b * p13 + (a * d - b * c) * p23
@@ -141,7 +136,7 @@ def area_factor(p: ProjectionW0, plane: Plane2) -> float:
     """Euclidean 2-area scaling factor |pi(u) ^ pi(v)| of the projection."""
     if plane.n < 4:
         raise DimensionMismatch("projection family needs dimension >= 4")
-    return float(abs(_signed_factors(p.a, p.b, p.c, p.d, _plucker(plane.u[:4], plane.v[:4]))))
+    return float(abs(_signed_factors(p.a, p.b, p.c, p.d, wedge_rows(plane.u[:4], plane.v[:4]))))
 
 
 def contraction_gap(
@@ -403,7 +398,7 @@ def _plane_tables(body: Body, planes):
     """Section areas (one `section_areas` call) and the (n_planes, 6) Plucker table."""
     U = np.array([pl.u for pl in planes])
     V = np.array([pl.v for pl in planes])
-    return section_areas(body, U, V), np.stack(_plucker(U.T, V.T), axis=1)
+    return section_areas(body, U, V), wedge_rows(U, V)
 
 
 _WITNESS_TIE = 1e-12
@@ -522,72 +517,39 @@ def _bisect(lo, hi, bounds, P, areas, w0_area, threshold, allowance, budget):
 
 
 def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200):
-    """Coordinate descent on raw plane parameters, step-halving, <= max_sweeps.
+    """Pattern search on raw plane parameters, step-halving, <= max_sweeps sweeps.
 
-    Maximizes lambda * area(plane) - w0_area over Gr(2, 4) starting from each
-    given plane; returns the best (gap, label-of-start).  Each coordinate's
-    +step and -step moves are scored in one area call, and the first
-    improving one is taken.
+    Maximizes |f| * area(plane) - w0_area over Gr(2, 4) from each given plane
+    and returns the best (gap, label-of-start).  A point x in R^8 is a pair
+    (u, v); a sweep scores its 16 moves x +- step e_i in one chain
+    (`gram_schmidt_rows`, `wedge_rows`, `section_areas`), scoring -inf where
+    `degenerate_rows` holds, and takes the best move that improves by more
+    than 1e-15.  A sweep without one halves the step, from 0.2 down to 1e-7.
     """
     a, b, c, d = (float(t) for t in point)
+    moves = np.concatenate((np.eye(8), -np.eye(8)))
 
-    def frame(x):
-        # inline Gram-Schmidt in plain floats; None for degenerate spans
-        ax, ay, az, aw = x[0], x[1], x[2], x[3]
-        bx, by, bz, bw = x[4], x[5], x[6], x[7]
-        na = (ax * ax + ay * ay + az * az + aw * aw) ** 0.5
-        if na < 1e-12:
-            return None
-        ax, ay, az, aw = ax / na, ay / na, az / na, aw / na
-        dot = ax * bx + ay * by + az * bz + aw * bw
-        bx, by, bz, bw = bx - dot * ax, by - dot * ay, bz - dot * az, bw - dot * aw
-        nb = (bx * bx + by * by + bz * bz + bw * bw) ** 0.5
-        if nb < 1e-9:
-            return None
-        fu = (ax, ay, az, aw)
-        fv = (bx / nb, by / nb, bz / nb, bw / nb)
-        return fu, fv, abs(_signed_factors(a, b, c, d, _plucker(fu, fv)))
-
-    def score(xs):
-        # degenerate spans score -inf, planes the projection collapses -w0_area
-        vals = [-np.inf] * len(xs)
-        live = []
-        for j, x in enumerate(xs):
-            fr = frame(x)
-            if fr is None:
-                continue
-            if fr[2] == 0.0:
-                vals[j] = -w0_area
-            else:
-                live.append((j, fr))
-        if live:
-            U = np.array([fr[0] for _, fr in live])
-            V = np.array([fr[1] for _, fr in live])
-            areas = section_areas(body, U, V, radial_n=1024)
-            for (j, fr), area in zip(live, areas):
-                vals[j] = fr[2] * float(area) - w0_area
-        return vals
+    def gaps(X):
+        live = ~degenerate_rows(X[:, :4], X[:, 4:])
+        U, V = gram_schmidt_rows(X[live, :4], X[live, 4:])
+        out = np.full(len(X), -np.inf)
+        f = _signed_factors(a, b, c, d, wedge_rows(U, V).T)
+        out[live] = np.abs(f) * section_areas(body, U, V, radial_n=1024) - w0_area
+        return out
 
     best_gap = -np.inf
     best_label = ""
     for label, plane in start_planes:
-        x = list(plane.u) + list(plane.v)
-        val = score([x])[0]
-        if not np.isfinite(val):
-            continue
+        x = np.concatenate((plane.u, plane.v))
+        val = gaps(x[None])[0]
         step = 0.2
         for _ in range(max_sweeps):
-            improved = False
-            for i in range(8):
-                moves = [x.copy(), x.copy()]
-                moves[0][i] += step
-                moves[1][i] -= step
-                for x2, v2 in zip(moves, score(moves)):
-                    if v2 > val + 1e-15:
-                        x, val = x2, v2
-                        improved = True
-                        break
-            if not improved:
+            X = x + step * moves
+            vals = gaps(X)
+            k = int(np.argmax(vals))
+            if vals[k] > val + 1e-15:
+                x, val = X[k], vals[k]
+            else:
                 step *= 0.5
                 if step < 1e-7:
                     break
@@ -621,8 +583,8 @@ def certify_no_contraction(
     Raises CertificateFailed when the exterior bound, a grid point or a
     bisection corner does not clear the threshold, or the bisection stops.
     """
-    if box_halfwidth < 2.0:
-        raise ValueError("box halfwidth must be >= 2")
+    if not (np.isfinite(box_halfwidth) and box_halfwidth >= 2.0):
+        raise ValueError("box halfwidth must be finite and >= 2")
     if grid_n < 21:
         raise ValueError("grid_n must be >= 21")
     eps_set = tuple(sorted(float(e) for e in eps_set))
@@ -630,6 +592,8 @@ def certify_no_contraction(
         raise ValueError("eps_set must be nonempty inside (0, 0.2]")
     if not np.isfinite(gap_threshold):
         raise ValueError("gap_threshold must be finite")
+    if extra_planes < 0:
+        raise ValueError("extra_planes must be >= 0")
     check_seed(seed)
 
     t0 = time.perf_counter()

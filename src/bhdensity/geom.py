@@ -6,6 +6,7 @@ is a pure function of its inputs and safe to share across threads.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -30,18 +31,25 @@ def as_vec(x, n: int | None = None) -> np.ndarray:
     return v
 
 
-def lex_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@cache
+def _lex_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the lex pairs (i, j), i < j, of range(n).
 
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    Returns the (n, n) table of each pair's lex index, and per lex pair the
+    lex index of its complement among the (n-2)-subsets and the sign
+    (-1)^(i+j-1) of the permutation (i, j, complement).  Complementing
+    reverses the lex order of equal-size subsets (A precedes B exactly when
+    the least element of their symmetric difference lies in A), so the
+    complement of the k-th pair is the k-th (n-2)-subset from the end, and
+    the complement index is its own inverse.
+    """
+    i, j = np.triu_indices(n, k=1)
+    index = np.zeros((n, n), dtype=int)
+    index[i, j] = np.arange(i.size)
+    tables = (index, np.arange(i.size)[::-1], np.where((i + j) % 2, 1.0, -1.0))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -127,22 +135,28 @@ def dot_rows(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def degenerate_rows(a, b) -> np.ndarray:
+    """True where a pair of vectors along the last axis spans no plane.
+
+    That is a zero vector, or a relative 2x2 Gram determinant at or below
+    TOL.span_defect.
+    """
+    na2 = dot_rows(a, a)
+    nb2 = dot_rows(b, b)
+    ab = dot_rows(a, b)
+    return (na2 == 0.0) | (nb2 == 0.0) | (na2 * nb2 - ab * ab <= TOL.span_defect * na2 * nb2)
+
+
 def gram_schmidt_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalize pairs of vectors along the last axis, keeping u parallel to a.
 
     Deterministic: u = a/|a| first, then b is orthogonalized against u in
     two passes.  Returns the stacked bases (u, v).  Raises DegenerateSpan
-    when some pair's relative 2x2 Gram determinant is below the span
-    tolerance.
+    when `degenerate_rows` holds for some pair.
     """
-    na2 = dot_rows(a, a)
-    nb2 = dot_rows(b, b)
-    if np.any(na2 == 0.0) or np.any(nb2 == 0.0):
-        raise DegenerateSpan("zero vector cannot span a plane")
-    ab = dot_rows(a, b)
-    if np.any(na2 * nb2 - ab * ab <= TOL.span_defect * na2 * nb2):
-        raise DegenerateSpan("vectors are numerically dependent")
-    u = a / np.sqrt(na2)[..., None]
+    if np.any(degenerate_rows(a, b)):
+        raise DegenerateSpan("vectors are zero or numerically dependent")
+    u = a / np.sqrt(dot_rows(a, a))[..., None]
     w = b - dot_rows(u, b)[..., None] * u
     w -= dot_rows(u, w)[..., None] * u  # second pass for orthogonality at 1e-16
     return u, w / np.sqrt(dot_rows(w, w))[..., None]
@@ -177,62 +191,45 @@ def hodge_star(w: Bivector):
 
     Maps degree 2 to degree n-2 with the sign of the permutation
     (i, j, complement) of (1..n); this makes star(star(w)) = w on bivectors.
-    For n = 4 the result is again a Bivector; otherwise it is the lex-ordered
-    coordinate array over (n-2)-subsets.
+    One signed gather through `_lex_tables`; adding 0.0 turns a -0.0
+    coordinate into +0.0.  For n = 4 the result is again a Bivector;
+    otherwise it is the lex-ordered coordinate array over (n-2)-subsets.
     """
-    n = w.n
-    if n > MAX_DIM:
-        raise UnsupportedDimension(f"dimension {n} outside 2..{MAX_DIM}")
-    m = n - 2
-    combos = list(combinations(range(n), m))
-    combo_index = {c: k for k, c in enumerate(combos)}
-    out = np.zeros(len(combos))
-    for idx, (i, j) in enumerate(lex_pairs(n)):
-        comp = tuple(k for k in range(n) if k != i and k != j)
-        sign = _perm_sign((i, j) + comp)
-        out[combo_index[comp]] += sign * w.coords[idx]
-    if n == 4:
+    _, comp, sign = _lex_tables(w.n)
+    out = (sign * w.coords)[comp] + 0.0
+    if w.n == 4:
         return Bivector(out, 4)
     return out
 
 
 def hodge_star_codim(coords, n: int) -> Bivector:
-    """Hodge star from degree n-2 back down to degree 2."""
-    if n > MAX_DIM:
+    """Hodge star from degree n-2 back down to degree 2, the inverse of `hodge_star`."""
+    if not 2 <= n <= MAX_DIM:
         raise UnsupportedDimension(f"dimension {n} outside 2..{MAX_DIM}")
-    m = n - 2
-    combos = list(combinations(range(n), m))
+    _, comp, sign = _lex_tables(n)
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (len(combos),):
-        raise DimensionMismatch(f"need {len(combos)} coordinates for degree {m} in n={n}")
-    pair_index = {p: k for k, p in enumerate(lex_pairs(n))}
-    out = np.zeros(n * (n - 1) // 2)
-    for idx, c in enumerate(combos):
-        comp = tuple(k for k in range(n) if k not in c)
-        sign = _perm_sign(c + comp)
-        out[pair_index[comp]] += sign * coords[idx]
-    return Bivector(out, n)
+    if coords.shape != comp.shape:
+        raise DimensionMismatch(f"need {comp.size} coordinates for degree {n - 2} in n={n}")
+    return Bivector(sign * coords[comp] + 0.0, n)
 
 
 def plucker_defect(w: Bivector) -> float:
     """Simplicity defect; zero exactly when the bivector is decomposable.
 
     For n = 4 this is the Plucker quadric p12*p34 - p13*p24 + p14*p23
-    (signed); for other dimensions it is the Euclidean norm of w ^ w.
+    (signed); for other dimensions it is the Euclidean norm of w ^ w, whose
+    squared coordinates are summed in the lex order of the 4-subsets.
     """
     c = w.coords
     if w.n == 4:
         return float(c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
-    pairs = lex_pairs(w.n)
-    index = {p: k for k, p in enumerate(pairs)}
+    index = _lex_tables(w.n)[0]
+    i, j, k, l = np.array(list(combinations(range(w.n), 4)), dtype=int).reshape(-1, 4).T
+    val = (c[index[i, j]] * c[index[k, l]] - c[index[i, k]] * c[index[j, l]]
+           + c[index[i, l]] * c[index[j, k]])
     total = 0.0
-    for (i, j, k, l) in combinations(range(w.n), 4):
-        val = (
-            c[index[(i, j)]] * c[index[(k, l)]]
-            - c[index[(i, k)]] * c[index[(j, l)]]
-            + c[index[(i, l)]] * c[index[(j, k)]]
-        )
-        total += (2.0 * val) ** 2
+    for t in 2.0 * val:
+        total += t**2  # a scalar power, as np.square may differ in the last bit
     return float(np.sqrt(total))
 
 

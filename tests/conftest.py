@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -140,3 +140,21 @@ def per_trial_phi_dim4(body, seed: int, trials: int):
         triples.append(triple)
     areas = bh.section_areas(body, U.reshape(-1, 4), V.reshape(-1, 4))
     return triples, math.pi * norms / areas.reshape(-1, 3), np.full(trials, 1e-8)
+
+
+def hodge_loop(coords, n: int, down: bool = False) -> np.ndarray:
+    """Independent oracle for the Hodge star: a signed loop over lex index sets.
+
+    Each coordinate of a lex-ordered 2-subset c (or (n-2)-subset, if
+    ``down``) is added, into a zero array, to the coordinate of its
+    complement with the sign of the permutation (c, complement).
+    """
+    m = n - 2 if down else 2
+    target = {c: k for k, c in enumerate(combinations(range(n), n - m))}
+    out = np.zeros(len(target))
+    for idx, c in enumerate(combinations(range(n), m)):
+        comp = tuple(k for k in range(n) if k not in c)
+        perm = c + comp
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        out[target[comp]] += (-1) ** inversions * coords[idx]
+    return out

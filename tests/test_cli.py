@@ -116,6 +116,28 @@ def test_non_integer_thread_env_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: BHD_THREADS")
 
 
+@pytest.mark.parametrize("proj", ["1,2,3", "1,2,3,4,5", "0,0,nan,0", "inf,0,0,0"])
+def test_gap_proj_needs_four_finite_numbers(proj, capsys):
+    assert main(["gap", "--body", "rotated-cross4", "--proj", proj, "--plane", "v9"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --proj")
+
+
+@pytest.mark.parametrize(
+    "flag, word",
+    [(["--box", "nan"], "box"), (["--box", "inf"], "box"), (["--extra-planes", "-3"], "extra_planes")],
+    ids=["box-nan", "box-inf", "extra-planes"],
+)
+def test_certify_bad_box_or_plane_count_is_error(flag, word, capsys):
+    assert main(["certify", "--body", "rotated-cross4", *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+
+
+def test_threads_only_on_certify(capsys):
+    assert main(["section", "--body", "rotated-cross4", "--plane", "w0", "--threads", "2"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_gap_below_dimension_four_is_error(capsys):
     assert main(["gap", "--body", "euclid-n", "--n", "3", "--proj", "0,0,0,0", "--plane", "w0"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -6,6 +6,7 @@ import pytest
 import bhdensity as bh
 import bhdensity.contraction as contraction
 from bhdensity._jsonfmt import dumps
+from bhdensity.geom import wedge_rows
 from conftest import C1_V1V2, C2_V3V4, SQRT2, V9_GAP, W0_AREA, gram_route
 
 
@@ -218,6 +219,21 @@ def test_certificate_parameter_validation(body_c):
         bh.certify_no_contraction(body_c, eps_set=(0.3,))
     with pytest.raises(ValueError):
         bh.certify_no_contraction(body_c, gap_threshold=float("nan"))
+    for box in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="box halfwidth"):
+            bh.certify_no_contraction(body_c, box_halfwidth=box)
+    with pytest.raises(ValueError, match="extra_planes"):
+        bh.certify_no_contraction(body_c, extra_planes=-3)
+
+
+def test_maximizer_climbs_to_v9_gap(body_c):
+    # at the origin v9's gap is the maximum; from a tilted and a random start the search reaches it
+    for start, start_gap in ((bh.named_plane(1, 0.1), -0.0030), (bh.random_plane(5, 4), -0.62)):
+        start_value = bh.contraction_gap(body_c, bh.ProjectionW0(), start)
+        assert start_value == pytest.approx(start_gap, rel=0.02)
+        gap, label = contraction._maximize_gap_at((0.0,) * 4, [("start", start)], body_c, W0_AREA)
+        assert label == "start" and abs(gap - V9_GAP) < 1e-6
+
 
 def test_scan_grid_witness_beyond_int16():
     # 32,769 copies of w0 with growing areas: the last plane is every cell's witness
@@ -226,7 +242,7 @@ def test_scan_grid_witness_beyond_int16():
     V = np.tile([0.0, 1.0, 0.0, 0.0], (n_planes, 1))
     areas = np.arange(1.0, n_planes + 1.0)
     axes = np.array([-1.0, 1.0])
-    P = np.array(contraction._plucker(U.T, V.T)).T
+    P = wedge_rows(U, V)
     best, witness, bounds = contraction._scan_grid(axes, P, areas, 0.5, threads=1)
     assert np.all(witness == n_planes - 1)
     assert best.shape == (2, 2, 2, 2) and bounds.shape == (1, 1, 1, 1)
@@ -246,7 +262,7 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     V = np.array([pl.v for pl in planes])
     axes = np.linspace(-1.5, 1.5, 5)
     w0_area = 1.2
-    P = np.array(contraction._plucker(U.T, V.T)).T
+    P = wedge_rows(U, V)
     best, witness, bounds = contraction._scan_grid(axes, P, areas, w0_area, threads=2)
     for idx in np.ndindex(best.shape):
         p = bh.ProjectionW0(*axes[list(idx)])
@@ -274,14 +290,14 @@ def test_plucker_factor_matches_projected_wedge():
         a, b, c, d = gen.uniform(-4, 4, 4)
         plane = bh.random_plane(29, 4, stream=i)
         pu, pv = bh.ProjectionW0(a, b, c, d).apply(plane.u), bh.ProjectionW0(a, b, c, d).apply(plane.v)
-        f = contraction._signed_factors(a, b, c, d, contraction._plucker(plane.u, plane.v))
+        f = contraction._signed_factors(a, b, c, d, wedge_rows(plane.u, plane.v))
         assert abs(f - (pu[0] * pv[1] - pu[1] * pv[0])) < 1e-12
 
 
 def _coordinate_plane_table(i, j):
     """Plucker row of span(e_i, e_j): its signed factor is one parameter (or minus it)."""
     eye = np.eye(4)
-    return np.array(contraction._plucker(eye[i], eye[j]))[None, :]
+    return wedge_rows(eye[i], eye[j])[None, :]
 
 
 def test_cell_bound_drops_plane_whose_factor_changes_sign():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
+from bhdensity.geom import degenerate_rows
+from conftest import hodge_loop
 
 E = np.eye(4)
 
@@ -30,6 +32,12 @@ def test_gram_schmidt_normalizes_orthogonal_inputs():
 def test_gram_schmidt_degenerate():
     with pytest.raises(bh.DegenerateSpan):
         bh.gram_schmidt(E[0], 1.0000000000000002 * E[0])
+
+
+def test_degenerate_rows_flags_each_pair():
+    a = np.array([E[0], E[0], E[0], E[0]])
+    b = np.array([1.0000000000000002 * E[0], np.zeros(4), E[0] + 1e-3 * E[1], E[1]])
+    assert degenerate_rows(a, b).tolist() == [True, True, False, False]
 
 
 def test_gram_schmidt_span_reconstruction():
@@ -103,6 +111,22 @@ def test_hodge_star_isometry_and_linearity():
             s_comb = bh.hodge_star(al * a + be * b)
             s_comb = np.asarray(s_comb.coords if n == 4 else s_comb)
             assert np.allclose(s_comb, al * sa + be * sb, atol=1e-12)
+
+
+def test_hodge_gathers_match_loop_oracle_bitwise():
+    # zero coordinates of either sign come out as +0.0, as the loop's accumulation gives
+    gen = np.random.default_rng(8)
+    for n in range(2, 9):
+        dim = n * (n - 1) // 2
+        for _ in range(20):
+            c = gen.standard_normal(dim)
+            c[gen.random(dim) < 0.3] = 0.0
+            c[gen.random(dim) < 0.3] = -0.0
+            up = bh.hodge_star(bh.Bivector(c, n))
+            up = up.coords if n == 4 else up
+            down = bh.hodge_star_codim(c, n).coords
+            assert up.tobytes() == hodge_loop(c, n).tobytes()
+            assert down.tobytes() == hodge_loop(c, n, down=True).tobytes()
 
 
 def test_hodge_unsupported_dimension():
