@@ -5,7 +5,8 @@ A linear projection onto W0 = span(e1, e2) is determined by four reals
 projection scales Euclidean 2-area on a plane V by a constant factor
 lambda(V) = |f|, where in the Plucker coordinates p_ij of V
 
-    f = p01 + c p02 + d p03 - a p12 - b p13 + (ad - bc) p23;
+    f = p01 + c p02 + d p03 - a p12 - b p13 + (ad - bc) p23
+      = G(b, c, d) + a H(d);
 
 it contracts the normed Hausdorff 2-measure only if
 lambda(V) * H^2(C cut V) <= H^2(C cut W0) for every plane V.  f has degree
@@ -121,15 +122,29 @@ def w0_plane(n: int = 4) -> Plane2:
     return Plane2(u, v)
 
 
+def _factor_terms(a, b, c, d, p):
+    """The two terms (G, a H) of the signed factor f = G(b, c, d) + a H(d).
+
+    G = p01 + c p02 + d p03 - b (p13 + c p23) and H = d p23 - p12, each
+    evaluated left to right in that order.  On broadcast grid axes G is a
+    (b, c, d) table and a H an (a, d) table.
+    """
+    p01, p02, p03, p12, p13, p23 = p
+    return p01 + c * p02 + d * p03 - b * (p13 + c * p23), a * (d * p23 - p12)
+
+
 def _signed_factors(a, b, c, d, p):
     """Signed area factor pi(u) ^ pi(v) of the projection with block [[a, b], [c, d]].
 
     ``p`` holds the Plucker coordinates [p01, p02, p03, p12, p13, p23] of
     span(u, v), the `wedge_rows` of u and v, along its first axis (six numbers
-    or a (6, n_planes) table); the parameters broadcast against them.
+    or a (6, n_planes) table); the parameters broadcast against them.  f is
+    multilinear and is evaluated split as G(b, c, d) + a H(d), the sum of
+    `_factor_terms`: the grid pass adds tables of the two terms, and every
+    other caller gets the same bits from the same order.
     """
-    p01, p02, p03, p12, p13, p23 = p
-    return p01 + c * p02 + d * p03 - a * p12 - b * p13 + (a * d - b * c) * p23
+    g, ah = _factor_terms(a, b, c, d, p)
+    return g + ah
 
 
 def area_factor(p: ProjectionW0, plane: Plane2) -> float:
@@ -402,6 +417,7 @@ def _plane_tables(body: Body, planes):
 
 
 _WITNESS_TIE = 1e-12
+_BLOCK = 1 << 16  # grid points per block of the grid passes
 
 # corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is set
 _CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
@@ -415,58 +431,138 @@ def _corner_gaps(f_min, f_max, areas, w0_area):
     return areas * np.maximum(np.maximum(f_min, -f_max), 0.0) - w0_area
 
 
-def _scan_grid(axes, P, areas, w0_area, threads):
-    """Best gap and first witness within ``_WITNESS_TIE`` at each grid point, and
-    each cell's best ``_corner_gaps``, over the planes of the Plucker table ``P``.
+def _on_slabs(rows, threads, do_slab):
+    """Run ``do_slab(i0, i1)`` over [0, rows) split into one row range per thread."""
+    workers = min(threads or os.cpu_count() or 1, rows)
+    edges = np.linspace(0, rows, workers + 1).astype(int).tolist()
+    if workers == 1:
+        do_slab(0, rows)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(do_slab, edges[:-1], edges[1:]))
 
-    Slabs of the first grid axis run on a thread pool.  A slab also reads the
-    next slab's first row, to close its last cells, but writes only its own
-    rows, so the result does not depend on scheduling.
+
+def _grid_axes(axes):
+    """The grid axes shaped so `_factor_terms` gives a (b, c, d) table and an (a, d) table."""
+    return axes[:, None, None], axes[:, None], axes
+
+
+def _block_rows(g, rows):
+    """Rows per block of a slab of ``rows`` rows, so a block's temporaries stay in cache."""
+    return min(rows, max(1, _BLOCK // g**3))
+
+
+def _scan_points(axes, P, areas, w0_area, threads):
+    """Best gap at each point of the grid ``axes``^4 over the planes of the
+    Plucker table ``P``.
+
+    Per plane and block the factors are one broadcast add of the G and a H
+    tables.  |f| * area >= 0 is maximized over the planes, starting from 0,
+    and w0_area is subtracted once after that, which is exact, since rounding
+    is monotone.  Slabs of the first axis run on a thread pool and write only
+    their own rows.
     """
     g = axes.size
-    best = np.empty((g, g, g, g))
-    witness = np.empty((g, g, g, g), dtype=np.int32)
-    bounds = np.empty((g - 1,) * 4)
-
-    B = axes[None, :, None, None]
-    C = axes[None, None, :, None]
-    D = axes[None, None, None, :]
+    best = np.zeros((g,) * 4)
+    B, C, D = _grid_axes(axes)
 
     def do_slab(i0, i1):
-        A = axes[i0:min(i1 + 1, g), None, None, None]
+        A = axes[i0:i1, None, None, None]
+        k = _block_rows(g, i1 - i0)
+        top, buf = best[i0:i1], np.empty((k, g, g, g))
         for i in range(areas.size):
-            f = f_min = f_max = _signed_factors(A, B, C, D, P[i])
-            for _ in range(4):  # over each cell's 16 corners, one axis at a time
-                f_min = np.moveaxis(np.minimum(f_min[:-1], f_min[1:]), 0, -1)
-                f_max = np.moveaxis(np.maximum(f_max[:-1], f_max[1:]), 0, -1)
-            gap = np.abs(f) * areas[i] - w0_area
-            low = _corner_gaps(f_min, f_max, areas[i], w0_area)
-            if i == 0:
-                top, cell = gap, low
-            else:
-                np.maximum(top, gap, out=top)
-                np.maximum(cell, low, out=cell)
-        best[i0:i1], bounds[i0:i0 + cell.shape[0]] = top[:i1 - i0], cell
-        A, floor = A[:i1 - i0], top[:i1 - i0] - _WITNESS_TIE
-        wit = np.zeros(floor.shape, dtype=np.int32)
-        assigned = np.zeros(floor.shape, dtype=bool)
-        for i in range(areas.size):
-            gap = np.abs(_signed_factors(A, B, C, D, P[i])) * areas[i] - w0_area
-            hit = ~assigned & (gap >= floor)
-            wit[hit] = i
-            assigned |= hit
-        witness[i0:i1] = wit
+            G, aH = _factor_terms(A, B, C, D, P[i])
+            for r in range(0, i1 - i0, k):
+                t = top[r:r + k]
+                f = np.add(G, aH[r:r + k], out=buf[:len(t)])
+                np.abs(f, out=f)
+                f *= areas[i]
+                np.maximum(t, f, out=t)
+        top -= w0_area
 
-    workers = threads or os.cpu_count() or 1
-    edges = np.linspace(0, g, min(workers, g) + 1).astype(int)
-    slabs = [(int(edges[k]), int(edges[k + 1])) for k in range(len(edges) - 1)
-             if edges[k] < edges[k + 1]]
-    if len(slabs) <= 1:
-        do_slab(0, g)
-    else:
-        with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-            list(pool.map(lambda se: do_slab(*se), slabs))
-    return best, witness, bounds
+    _on_slabs(g, threads, do_slab)
+    return best
+
+
+def _scan_witnesses(axes, P, areas, w0_area, best, threads):
+    """First plane of ``P`` whose gap is within ``_WITNESS_TIE`` of ``best`` at
+    each grid point.  Each plane is tested only at the points still without a
+    witness; slabs of the first axis run on a thread pool."""
+    g = axes.size
+    witness = np.zeros(best.shape, dtype=np.int32)
+    B, C, D = _grid_axes(axes)
+
+    def do_slab(i0, i1):
+        A = axes[i0:i1, None, None, None]
+        wit, floor = witness[i0:i1].reshape(-1), best[i0:i1].ravel() - _WITNESS_TIE
+        # flat position in the slab, its (b, c, d) index in G and its (a, d) index in a H
+        pos = np.arange(floor.size)
+        bcd, ad = pos % g**3, pos // g**3 * g + pos % g
+        for i in range(areas.size):
+            G, aH = _factor_terms(A, B, C, D, P[i])
+            hit = np.abs(G.ravel()[bcd] + aH.ravel()[ad]) * areas[i] - w0_area >= floor
+            if hit.any():
+                wit[pos[hit]] = i
+                pos, bcd, ad, floor = pos[~hit], bcd[~hit], ad[~hit], floor[~hit]
+                if not pos.size:
+                    break
+
+    _on_slabs(g, threads, do_slab)
+    return witness
+
+
+def _corner_tables(G, aH):
+    """Least G over each cell's four (b, c)-corners and least a H over its two a-corners."""
+    G = np.minimum(G[:-1], G[1:])
+    return np.minimum(G[:, :-1], G[:, 1:]), np.minimum(aH[:-1], aH[1:])
+
+
+def _scan_cells(axes, P, areas, w0_area, threads):
+    """Each cell's best ``_corner_gaps`` on the grid ``axes``^4, over the planes
+    of the Plucker table ``P``.
+
+    The least f over a cell's 16 corners is the lesser over its two d-corners
+    of the least G over its (b, c)-corners plus the least a H over its
+    a-corners: rounding is monotone in each addend, so that is bitwise the
+    least of the 16 computed corner values.  The least -f is found the same
+    way, and a plane's least |f|, if f keeps its sign, is the larger of the
+    two.  The maximum over the planes starts at 0, which is the 0 clamp, and
+    w0_area is subtracted once after it: that is exact for the same reason.
+    Slabs of cells along the first axis run on a thread pool; a slab reads
+    the grid row after its last cell.
+    """
+    g = axes.size
+    bounds = np.zeros((g - 1,) * 4)
+    B, C, D = _grid_axes(axes)
+
+    def do_slab(i0, i1):
+        A = axes[i0:i1 + 1, None, None, None]
+        k = _block_rows(g, i1 - i0)
+        cell, buf = bounds[i0:i1], np.empty((k, g - 1, g - 1, g))
+        lows = np.empty((2, k) + (g - 1,) * 3)
+        for i in range(areas.size):
+            G, aH = _factor_terms(A, B, C, D, P[i])
+            tables = (_corner_tables(G, aH), _corner_tables(-G, -aH))
+            for r in range(0, i1 - i0, k):
+                c = cell[r:r + k]
+                low = lows[:, :len(c)]
+                for (Gt, at), out in zip(tables, low):
+                    s = np.add(Gt, at[r:r + k], out=buf[:len(c)])
+                    np.minimum(s[..., :-1], s[..., 1:], out=out)
+                low = np.maximum(low[0], low[1], out=low[0])
+                low *= areas[i]
+                np.maximum(c, low, out=c)
+        cell -= w0_area
+
+    _on_slabs(g - 1, threads, do_slab)
+    return bounds
+
+
+def _scan_grid(axes, P, areas, w0_area, threads):
+    """Best gaps, witnesses and cell bounds of one grid, by the three passes."""
+    best = _scan_points(axes, P, areas, w0_area, threads)
+    return (best, _scan_witnesses(axes, P, areas, w0_area, best, threads),
+            _scan_cells(axes, P, areas, w0_area, threads))
 
 
 def _cell_bounds(lo, hi, P, areas, w0_area):
@@ -571,17 +667,36 @@ def certify_no_contraction(
 ) -> Certificate:
     """Certify a witness gap above ``gap_threshold`` at every projection (a, b, c, d).
 
-    One grid pass on [-R, R]^4 records each grid point's best gap and first
-    witness and each cell's best ``_corner_gaps``; cells that do not clear
-    the threshold are bisected (``_bisect``) within (grid_n - 1)^4 cells.
-    Outside the box some |parameter| exceeds R, so the coordinate planes
-    whose f is that parameter bound every gap by min_k A_k * R - w0_area.
-    Bounds are lowered by 64 eps (A * (1 + 4R + 2R^2) + w0_area), A the
-    largest section area used: unit planes have |p_ij| <= 1, so f's absolute
-    terms in the box sum to at most 1 + 4R + 2R^2 and its rounding error is
-    under 10 ulps of that; the rest covers the areas and the gap arithmetic.
-    Raises CertificateFailed when the exterior bound, a grid point or a
-    bisection corner does not clear the threshold, or the bisection stops.
+    The grid has grid_n points per axis on [-R, R]^4.  One pass finds each
+    grid point's best gap (`_scan_points`).  Only if the least of them clears
+    the threshold do two more passes find each point's first witness
+    (`_scan_witnesses`) and each cell's best ``_corner_gaps`` (`_scan_cells`).
+    Cells that do not clear the threshold are bisected (``_bisect``) within
+    (grid_n - 1)^4 cells.  Outside the box some |parameter| exceeds R, so the
+    coordinate planes whose f is that parameter bound every gap by
+    min_k A_k * R - w0_area.
+
+    Bounds are lowered by the allowance 64 eps (A S + w0_area), with A the
+    largest section area used and S = 1 + 4R + 2R^2.  Unit planes have
+    |p_ij| <= 1, so in the box the absolute terms of f = G + a H sum to at
+    most S: p01, c p02, d p03, b p13 and b c p23 in G, a d p23 and a p12 in
+    a H.  In the order of `_factor_terms` no term meets more than five
+    roundings: c p02 meets its product, the two sums and the difference in G
+    and the final sum; b c p23 meets c p23, the sum with p13, the product
+    with b, that difference and the final sum; a term of a H meets at most
+    d p23, the difference, the product with a and the final sum.  So the
+    computed f is off by at most gamma_5 S < 3 eps S, where
+    gamma_k = k u / (1 - k u) and u = eps / 2.  The product with the area
+    and the subtraction of w0_area add about eps (A S + w0_area); corner
+    minima and maxima add nothing.  The rest of the allowance, some
+    60 eps (A S + w0_area), covers the rounding of the Plucker rows and is
+    all the error the section areas may carry: they are trusted to it, not
+    proved.
+
+    The grid passes run on ``threads`` threads (None or 0: one per CPU); the
+    result does not depend on the count.  Raises CertificateFailed when the
+    exterior bound, a grid point or a bisection corner does not clear the
+    threshold, or the bisection stops.
     """
     if not (np.isfinite(box_halfwidth) and box_halfwidth >= 2.0):
         raise ValueError("box halfwidth must be finite and >= 2")
@@ -594,6 +709,8 @@ def certify_no_contraction(
         raise ValueError("gap_threshold must be finite")
     if extra_planes < 0:
         raise ValueError("extra_planes must be >= 0")
+    if threads is not None and threads < 0:
+        raise ValueError("threads must be >= 0")
     check_seed(seed)
 
     t0 = time.perf_counter()
@@ -621,18 +738,20 @@ def certify_no_contraction(
         fail_at(tuple(R * eye[int(np.argmin(ext_areas))]), exterior_bound,
                 "exterior bound min_k A_k * R - w0_area does not clear the threshold")
 
-    # --- grid points and cell bounds in one pass, then bisection of the open cells
+    # --- grid points; witnesses and cell bounds once the grid minimum clears; bisection
     axes = np.linspace(-R, R, grid_n)
-    best, witness, bounds = _scan_grid(axes, P, areas, w0_area, threads)
-    bounds -= allowance
+    best = _scan_points(axes, P, areas, w0_area, threads)
 
     flat_idx = int(np.argmin(best.ravel()))
     grid_min_gap = float(best.ravel()[flat_idx])
     ii = np.unravel_index(flat_idx, best.shape)
     grid_min_point = tuple(float(axes[i]) for i in ii)
-    grid_min_witness = labels[int(witness[ii])]
     if grid_min_gap <= gap_threshold:
         fail_at(grid_min_point, grid_min_gap, "grid minimum")
+    witness = _scan_witnesses(axes, P, areas, w0_area, best, threads)
+    grid_min_witness = labels[int(witness[ii])]
+    bounds = _scan_cells(axes, P, areas, w0_area, threads)
+    bounds -= allowance
 
     verified = bounds > gap_threshold
     jj = np.unravel_index(int(np.argmin(np.where(verified, bounds, np.inf))), bounds.shape)

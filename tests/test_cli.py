@@ -257,3 +257,23 @@ def test_lemmas_csv(tmp_path):
     # swap-tilt families carry no closed-form bound column
     v5_row = next(l for l in lines if l.startswith("v5v6")).split(",")
     assert v5_row[2] == ""
+
+
+@pytest.mark.parametrize("flag, env", [(["--threads", "-1"], None), ([], "-3")],
+                         ids=["flag", "env"])
+def test_negative_threads_is_error(flag, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("BHD_THREADS", env)
+    assert main(["certify", "--body", "rotated-cross4", *flag]) == 1
+    assert capsys.readouterr().err == "error: threads must be >= 0\n"
+
+
+def test_deterministic_certify_report_does_not_depend_on_threads(tmp_path):
+    args = ["certify", "--body", "rotated-cross4", "--box", "2", "--grid", "21", "--eps", "0.1",
+            "--extra-planes", "4"]
+    reports = []
+    for threads in ("1", "2"):
+        code, _, out = run_cli(args + ["--threads", threads], tmp_path)
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -376,3 +376,49 @@ def test_certificate_reports_box_and_exterior_guarantees(body_c):
     assert len(cert.lifted) == 1 and cert.lifted[0]["lifted_gap"] == cert.worst_cell["local_gap"]
     report = cert.to_report(deterministic=True)
     assert report["box"] == box and report["exterior"] == ext
+
+
+def _small_family():
+    planes = [bh.named_plane(9), bh.named_plane(1, 0.1), bh.w0_plane(4),
+              bh.random_plane(3, 4, stream=0), bh.random_plane(3, 4, stream=1)]
+    U = np.array([pl.u for pl in planes])
+    V = np.array([pl.v for pl in planes])
+    return wedge_rows(U, V), np.array([1.3, 1.0, 0.97, 0.9, 1.1])
+
+
+@pytest.mark.parametrize("block", [1 << 16, 125], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
+    # the grid passes add tables of G and a H; every point and cell must carry the bits of
+    # _signed_factors at its corners, before any allowance is subtracted
+    monkeypatch.setattr(contraction, "_BLOCK", block)
+    P, areas = _small_family()
+    axes, w0_area = np.linspace(-4.0, 4.0, 5), 1.2
+    best = contraction._scan_points(axes, P, areas, w0_area, threads)
+    for idx in np.ndindex(best.shape):
+        gaps = np.abs(contraction._signed_factors(*axes[list(idx)], P.T)) * areas - w0_area
+        assert best[idx] == gaps.max()
+    bounds = contraction._scan_cells(axes, P, areas, w0_area, threads)
+    idx = np.array(list(np.ndindex(bounds.shape)))
+    lower, _, _ = contraction._cell_bounds(axes[idx], axes[idx + 1], P, areas, w0_area)
+    assert np.array_equal(lower.max(axis=1), bounds[tuple(idx.T)])
+
+
+def test_euclidean_control_fails_before_witness_and_cells_passes(ball4, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("pass ran after a failing grid minimum")
+
+    monkeypatch.setattr(contraction, "_scan_witnesses", must_not_run)
+    monkeypatch.setattr(contraction, "_scan_cells", must_not_run)
+    with pytest.raises(bh.CertificateFailed) as err:
+        bh.certify_no_contraction(
+            ball4, box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1
+        )
+    assert err.value.point == (0.0, 0.0, 0.0, 0.0)
+    assert err.value.reason == "grid minimum"
+    assert max(err.value.gaps.values()) <= 1e-12
+
+
+def test_negative_thread_count_is_refused(body_c):
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        bh.certify_no_contraction(body_c, threads=-1)
