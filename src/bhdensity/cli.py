@@ -2,9 +2,9 @@
 
 Every JSON report embeds the toolkit version, a config echo and the seed;
 floats are serialized with 17 significant digits so identical configs give
-bitwise-identical files (the timestamp, and the thread count, which does
-not change a result, are left out under --deterministic).  Exit codes:
-0 success, 1 usage error, 2 certificate failure.
+bitwise-identical files (the timestamp, the thread count and the output
+path, which do not change a result, are left out under --deterministic).
+Exit codes: 0 success, 1 usage error, 2 certificate failure.
 """
 
 import argparse
@@ -114,8 +114,9 @@ def parse_plane(text: str, n: int) -> Plane2:
 
 
 def _emit(args, payload: dict, default_stream=None):
-    # the thread count does not change a result, so a deterministic report leaves it out
-    skip = ("func", "threads") if args.deterministic else ("func",)
+    # the thread count and the output path do not change a result, so a
+    # deterministic report leaves them out
+    skip = ("func", "threads", "out") if args.deterministic else ("func",)
     report = {
         "toolkit_version": __version__,
         "config_echo": {

@@ -28,7 +28,7 @@ from .errors import (
 from .geom import (
     Bivector,
     Plane2,
-    _philox,
+    _philox_streams,
     check_seed,
     gram_schmidt,
     hodge_star,
@@ -119,10 +119,10 @@ def mc_section_volume(
     outer box is needed.  Returns (volume, stderr) with stderr
     alpha_m * s / sqrt(n) for the sample standard deviation s; one sample
     has no sample variance and gets an infinite stderr.  Chunks are keyed
-    by (seed, chunk index) and their means and centred sums of squares are
-    merged pairwise, so the result is independent of any parallel
-    scheduling of the chunks.  Raises ValueError for a seed outside
-    [0, 2**64).
+    by (seed, chunk index) on one `_philox_streams` generator, and their
+    means and centred sums of squares are merged pairwise, so the result
+    is independent of any parallel scheduling of the chunks.  Raises
+    ValueError for a seed outside [0, 2**64).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -132,9 +132,10 @@ def mc_section_volume(
     mean = 0.0
     sq_dev = 0.0
     chunk_idx = 0
+    keyed = _philox_streams(seed)
     while done < n_samples:
         take = min(_MC_CHUNK, n_samples - done)
-        g = _philox(seed, chunk_idx).standard_normal((take, m))
+        g = keyed(chunk_idx).standard_normal((take, m))
         radial = np.sqrt(np.einsum("ij,ij->i", g, g)) / minkowski_many(body, g @ basis.T)
         y = radial**m
         chunk_mean = float(y.mean())

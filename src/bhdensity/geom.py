@@ -248,6 +248,27 @@ def _philox(seed, stream=None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _philox_streams(seed):
+    """Keyed draws for many streams: stream -> Generator bitwise `_philox(seed, stream)`.
+
+    Builds one Philox bit generator per call and re-keys it through its state
+    for each request: key (seed, stream), counter zero, output buffer empty,
+    as just built.  Re-keying costs about an eighth of building a generator.
+    Every request returns the same Generator, so finish one stream's draws
+    before keying the next.
+    """
+    bitgen = np.random.Philox(key=[np.uint64(seed), np.uint64(0)])
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+
+    def keyed(stream) -> np.random.Generator:
+        fresh["state"]["key"][1] = 0 if stream is None else stream
+        bitgen.state = fresh
+        return gen
+
+    return keyed
+
+
 def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
     """Uniform (rotation-invariant) random 2-plane from a counter-based RNG.
 

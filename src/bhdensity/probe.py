@@ -8,7 +8,8 @@ covers every two-term simple decomposition up to degenerate cases.
 Violations are findings, not errors.
 
 Every trial draws from its own Philox stream (seed, trial index) through
-one kernel, `_shared_line_rows`, so a trial's triple does not depend on how
+one kernel, `_shared_line_rows`, which re-keys a single bit generator per
+call from stream to stream, so a trial's triple does not depend on how
 the scan is cut up.  Scans run the geometry as array operations over chunks
 of `_CHUNK` trials; one reduction merges the chunks' slacks and keeps the
 worst trial's triple, so a scan's memory does not grow with its trial count.
@@ -25,7 +26,7 @@ from .density import bh_density_codim2
 from .errors import DimensionMismatch
 from .geom import (
     Bivector,
-    _philox,
+    _philox_streams,
     check_seed,
     dot_rows,
     gram_schmidt_rows,
@@ -72,7 +73,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def _shared_line_rows(seed: int, n: int, streams):
     """Vectors (m, 3, n) and normalized triples (m, 3, n(n-1)/2) of the given streams.
 
-    Row k holds (u, v, t), 3n normals of `_philox(seed, streams[k])`, and
+    Row k holds (u, v, t), 3n normals of `_philox(seed, streams[k])` drawn
+    through one `_philox_streams` generator, and
     (w, w1, w2) = (u^(v+t), u^v, u^t) scaled to |w| = 1; the planes of w1
     and w2 share the line through u, so w is simple too.  A draw with |w|,
     |w1| or |w2| below 1e-6 is replaced by the next 3n normals of its own
@@ -81,7 +83,10 @@ def _shared_line_rows(seed: int, n: int, streams):
     if n not in (4, 6):
         raise DimensionMismatch("decomposition trials are drawn in dimension 4 or 6")
     streams = list(streams)
-    uvt = np.stack([_philox(seed, i).standard_normal(3 * n) for i in streams])
+    keyed = _philox_streams(seed)
+    uvt = np.empty((len(streams), 3 * n))
+    for row, stream in zip(uvt, streams):
+        keyed(stream).standard_normal(out=row)
     triple = np.empty((len(streams), 3, n * (n - 1) // 2))
     rows, draws = np.arange(len(streams)), 1
     while rows.size:
@@ -95,7 +100,7 @@ def _shared_line_rows(seed: int, n: int, streams):
         triple[rows] = np.stack((w1 + w2, w1, w2), axis=1)
         rows, draws = rows[redraw], draws + 1
         for k in rows:
-            uvt[k] = _philox(seed, streams[k]).standard_normal(3 * n * draws)[-3 * n :]
+            uvt[k] = keyed(streams[k]).standard_normal(3 * n * draws)[-3 * n :]
     return uvt.reshape(-1, 3, n), triple
 
 

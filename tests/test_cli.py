@@ -213,6 +213,14 @@ def test_reports_bitwise_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_deterministic_report_does_not_depend_on_out_path(tmp_path):
+    args = ["probe", "--body", "rotated-cross4", "--trials", "50", "--seed", "3"]
+    code, data, first = run_cli(args, tmp_path, "first.json")
+    assert code == 0 and "out" not in data["config_echo"]
+    code, _, second = run_cli(args, tmp_path, "second.json")
+    assert code == 0 and second.read_bytes() == first.read_bytes()
+
+
 def test_seventeen_digit_serialization(tmp_path):
     _, data, out = run_cli(["section", "--body", "rotated-cross4", "--plane", "w0"], tmp_path)
     text = out.read_text()

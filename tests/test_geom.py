@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import bhdensity as bh
-from bhdensity.geom import degenerate_rows
+from bhdensity import density, probe
+from bhdensity.geom import _philox, _philox_streams, degenerate_rows
 from conftest import hodge_loop
 
 E = np.eye(4)
@@ -176,3 +178,52 @@ def test_grassmann_distance():
     # swap of basis does not change the underlying plane
     swapped = bh.Plane2(w0.v, w0.u)
     assert bh.grassmann_distance(w0, swapped) < 1e-12
+
+
+def _philox_state_bits(gen):
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tobytes(), s["state"]["key"].tobytes(), s["buffer"].tobytes(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_philox_streams_are_fresh_philox_streams(seed):
+    # every request follows a draw of another length and a 32-bit draw from the
+    # same kernel call, which leave the counter, buffer and half word mid-stream
+    keyed = _philox_streams(seed)
+    for stream, shape in [(0, 7), (2**64 - 1, (4096, 3)), (0, (4096, 4)), (3, 12),
+                          (2**64 - 1, 1), (None, 5)]:
+        gen = keyed(stream)
+        assert _philox_state_bits(gen) == _philox_state_bits(_philox(seed, stream))
+        assert (gen.standard_normal(shape).tobytes()
+                == _philox(seed, stream).standard_normal(shape).tobytes())
+        gen.integers(0, 10, size=3, dtype=np.uint32)
+
+
+def test_philox_stream_callers_refuse_out_of_range_seeds():
+    basis = np.eye(4)[:, :2]
+    for value in (-1, 2**64):
+        seed_msg, stream_msg = (re.escape(f"{name} must be in [0, 2**64), got {value}")
+                                for name in ("seed", "stream"))
+        with pytest.raises(ValueError, match=seed_msg):
+            bh.mc_section_volume(bh.make_cross_polytope(4), basis, 10, seed=value)
+        with pytest.raises(ValueError, match=seed_msg):
+            bh.shared_line_decomposition(value, 4, stream=0)
+        with pytest.raises(ValueError, match=stream_msg):
+            bh.shared_line_decomposition(0, 4, stream=value)
+
+
+def test_keyed_draw_callers_build_one_bit_generator(monkeypatch):
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("key"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    probe._shared_line_rows(3, 4, range(100))
+    assert len(built) == 1
+    body = bh.make_cross_polytope(4)
+    bh.mc_section_volume(body, np.eye(4)[:, :2], 3 * density._MC_CHUNK + 1, seed=3)
+    assert len(built) == 2

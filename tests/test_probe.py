@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -127,19 +130,25 @@ class _DegenerateFirstDraw:
         self.pending = first
         self.gen = gen
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
+        size = size if out is None else out.size
         take, self.pending = self.pending[:size], self.pending[size:]
-        return np.concatenate((take, self.gen.standard_normal(size - take.size)))
+        draw = np.concatenate((take, self.gen.standard_normal(size - take.size)))
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
 
 
 def test_batched_draw_redraws_degenerate_stream(monkeypatch):
-    # the oracle's loop and the kernel both read the patched stream 5
+    # the oracle's loop and the kernel both read the patched stream 5; the
+    # kernel's keyed streams are replaced by freshly built patched ones
     for n in (4, 6):
         def philox(seed, stream=None):
             gen = _philox(seed, stream)
             return _DegenerateFirstDraw(gen, n) if stream == 5 else gen
 
-        monkeypatch.setattr(probe, "_philox", philox)
+        monkeypatch.setattr(probe, "_philox_streams", lambda seed: partial(philox, seed))
         monkeypatch.setattr(geom, "_philox", philox)
         uvt, triples = probe._shared_line_rows(3, n, range(10))
         vecs, triple = per_trial_draw(3, n, 5)
@@ -188,6 +197,26 @@ def _report_bits(rep):
     t = rep.worst_trial
     return (rep.trials, rep.min_slack.hex(), rep.violations, t.phi.hex(), t.phi1.hex(),
             t.phi2.hex(), _triple_bits((t.w, t.w1, t.w2)))
+
+
+def test_concurrent_scans_match_single_threaded_reports(body_c):
+    # each scan keys its own bit generator, so threads share no draw state;
+    # a short switch interval interleaves their re-keying and drawing
+    def scan(seed):
+        rep = bh.semi_ellipticity_scan(body_c, 3000, seed=seed)
+        return _report_bits(rep), probe._shared_line_rows(seed, 4, range(3000))[0].tobytes()
+
+    seeds = (0, 1)
+    alone = [scan(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(scan, seed) for seed in seeds * 2]
+            together = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone * 2
 
 
 def test_scan_chunks_merge_to_single_chunk_report(body_c, monkeypatch):
