@@ -223,15 +223,42 @@ def body_to_dict(body: Body) -> dict:
     }
 
 
+_BODY_KEYS = {
+    "abs_sum": ("functionals",),
+    "euclidean": ("n",),
+    "complex_lp": ("p", "k"),
+    "product": ("left", "euclidean_dim"),
+}
+
+
+def _number(data: dict, key: str, integral: bool = True):
+    """data[key] as an int, or as a float if not ``integral``; ValueError unless a JSON number."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def body_from_dict(data: dict) -> Body:
-    """Inverse of body_to_dict; validates as the constructors do."""
+    """Inverse of body_to_dict; validates as the constructors do.
+
+    Raises ValueError for a non-object, an unknown kind, a missing key or a
+    non-integral n, k or euclidean_dim.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a body description must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
+    if kind not in _BODY_KEYS:
+        raise ValueError(f"unknown body kind {kind!r}")
+    missing = [key for key in _BODY_KEYS[kind] if key not in data]
+    if missing:
+        raise ValueError(f"{kind} body lacks {', '.join(map(repr, missing))}")
     if kind == "abs_sum":
         return AbsSumBody(np.asarray(data["functionals"], dtype=float))
     if kind == "euclidean":
-        return make_euclidean_ball(int(data["n"]))
+        return make_euclidean_ball(_number(data, "n"))
     if kind == "complex_lp":
-        return make_complex_lp(float(data["p"]), int(data["k"]))
-    if kind == "product":
-        return make_product(body_from_dict(data["left"]), int(data["euclidean_dim"]))
-    raise ValueError(f"unknown body kind {kind!r}")
+        return make_complex_lp(_number(data, "p", integral=False), _number(data, "k"))
+    return make_product(body_from_dict(data["left"]), _number(data, "euclidean_dim"))

@@ -66,8 +66,12 @@ def build_body(args) -> Body:
     if os.path.exists(name):
         import json
 
-        with open(name) as fh:
-            return body_from_dict(json.load(fh))
+        try:
+            with open(name) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read body file {name!r}: {exc.strerror}") from None
+        return body_from_dict(data)
     if name == "cross4":
         return make_cross_polytope(4)
     if name == "rotated-cross4":
@@ -277,11 +281,6 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="bhdensity", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    env_threads = os.environ.get("BHD_THREADS", "0")
-    try:
-        threads = int(env_threads) or None
-    except ValueError:
-        raise ValueError(f"BHD_THREADS must be an integer, got {env_threads!r}") from None
 
     def common(p, body=True):
         if body:
@@ -321,7 +320,7 @@ def make_parser() -> _Parser:
     p.add_argument("--eps", default="0.02,0.05,0.1")
     p.add_argument("--extra-planes", type=int, default=64)
     p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("lemmas", help="CSV sweep of tilt families: bounds, areas, fits")

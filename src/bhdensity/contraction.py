@@ -27,15 +27,7 @@ import numpy as np
 
 from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
-from .geom import (
-    Plane2,
-    check_seed,
-    degenerate_rows,
-    gram_schmidt,
-    gram_schmidt_rows,
-    random_planes,
-    wedge_rows,
-)
+from .geom import Plane2, check_seed, gram_schmidt, random_planes, wedge_rows
 from .sections import cross_section, section_areas
 
 SQRT2 = np.sqrt(2.0)
@@ -290,8 +282,6 @@ def projection_pinning(body: Body, eps: float) -> PinningReport:
     return PinningReport(eps, intervals, widths)
 
 
-
-
 # ---------------------------------------------------------------------------
 # certificate
 # ---------------------------------------------------------------------------
@@ -318,7 +308,6 @@ class Certificate:
     grid_min_point: tuple = (0.0, 0.0, 0.0, 0.0)
     grid_min_witness: str = ""
     refined_count: int = 0
-    lifted: list = field(default_factory=list)
     worst_cell: dict = field(default_factory=dict)
     global_min_max_gap: float = 0.0
     box: dict = field(default_factory=dict)
@@ -347,7 +336,8 @@ class Certificate:
             },
             "worst_cell": self.worst_cell,
             "refined_points": self.refined_count,
-            "lifted": self.lifted,
+            # no point is searched past the family; the key stays for perfbench's certify workload
+            "lifted": [],
             "box": self.box,
             "exterior": self.exterior,
             "witness_counts": self.witness_counts,
@@ -612,49 +602,6 @@ def _bisect(lo, hi, bounds, P, areas, w0_area, threshold, allowance, budget):
     return counts, least
 
 
-def _maximize_gap_at(point, start_planes, body, w0_area, max_sweeps=200):
-    """Pattern search on raw plane parameters, step-halving, <= max_sweeps sweeps.
-
-    Maximizes |f| * area(plane) - w0_area over Gr(2, 4) from each given plane
-    and returns the best (gap, label-of-start).  A point x in R^8 is a pair
-    (u, v); a sweep scores its 16 moves x +- step e_i in one chain
-    (`gram_schmidt_rows`, `wedge_rows`, `section_areas`), scoring -inf where
-    `degenerate_rows` holds, and takes the best move that improves by more
-    than 1e-15.  A sweep without one halves the step, from 0.2 down to 1e-7.
-    """
-    a, b, c, d = (float(t) for t in point)
-    moves = np.concatenate((np.eye(8), -np.eye(8)))
-
-    def gaps(X):
-        live = ~degenerate_rows(X[:, :4], X[:, 4:])
-        U, V = gram_schmidt_rows(X[live, :4], X[live, 4:])
-        out = np.full(len(X), -np.inf)
-        f = _signed_factors(a, b, c, d, wedge_rows(U, V).T)
-        out[live] = np.abs(f) * section_areas(body, U, V, radial_n=1024) - w0_area
-        return out
-
-    best_gap = -np.inf
-    best_label = ""
-    for label, plane in start_planes:
-        x = np.concatenate((plane.u, plane.v))
-        val = gaps(x[None])[0]
-        step = 0.2
-        for _ in range(max_sweeps):
-            X = x + step * moves
-            vals = gaps(X)
-            k = int(np.argmax(vals))
-            if vals[k] > val + 1e-15:
-                x, val = X[k], vals[k]
-            else:
-                step *= 0.5
-                if step < 1e-7:
-                    break
-        if val > best_gap:
-            best_gap = val
-            best_label = label
-    return best_gap, best_label
-
-
 def certify_no_contraction(
     body: Body,
     box_halfwidth: float = 4.0,
@@ -765,12 +712,6 @@ def certify_no_contraction(
     least_bound, least_lo, least_hi = min(least, bisected, key=lambda t: t[0])
     lower, _, _ = _cell_bounds(least_lo[None], least_hi[None], P, areas, w0_area)
 
-    # worst grid point: its gap possibly improved by a local maximizer run
-    start_pool = [(grid_min_witness, planes[int(witness[ii])]), ("v9", planes[0])]
-    start_pool += [(lbl, pl) for lbl, pl in zip(labels, planes) if lbl.startswith("vertex:34")]
-    worst_gap_lift, from_label = _maximize_gap_at(grid_min_point, start_pool, target, w0_area)
-    worst_local_gap = max(grid_min_gap, worst_gap_lift)
-
     witness_labels, witness_freq = np.unique(witness, return_counts=True)
     counts = {labels[int(w)]: int(c) for w, c in zip(witness_labels, witness_freq)}
 
@@ -792,14 +733,11 @@ def certify_no_contraction(
         grid_min_point=grid_min_point,
         grid_min_witness=grid_min_witness,
         refined_count=sum(level_cells),
-        lifted=[{"point": list(grid_min_point), "family_gap": grid_min_gap,
-                 "lifted_gap": worst_local_gap, "witness": grid_min_witness
-                 if worst_local_gap == grid_min_gap else f"optimized({from_label})"}],
         worst_cell={
             "point": list(grid_min_point),
             "gap": grid_min_gap,
             "witness": grid_min_witness,
-            "local_gap": worst_local_gap,
+            "local_gap": grid_min_gap,
             "refined_point": [float(t) for t in 0.5 * (least_lo + least_hi)],
             "refined_halfwidth": float(0.5 * (least_hi[0] - least_lo[0])),
             "refined_gap": float(least_bound),

@@ -8,9 +8,9 @@ O(k^2) work for k functionals.  Smooth bodies are sampled radially.
 
 `section_areas` is the one batched area entry point: it sends abs-sum
 bodies through the kernel in one call and every other body through
-`cross_section` plane by plane.  The certificate, the contraction maximizer
-and the semi-ellipticity probe score their planes through it.  A plane's
-area is bitwise the same alone, in any batch and in `cross_section`.
+`cross_section` plane by plane.  The certificate and the semi-ellipticity
+probe score their planes through it.  A plane's area is bitwise the same
+alone, in any batch and in `cross_section`.
 """
 
 from dataclasses import dataclass
@@ -169,16 +169,12 @@ def abs_sum_section_areas(functionals: np.ndarray, U: np.ndarray, V: np.ndarray)
                        _restrict(L, np.asarray(V, dtype=float)))[0]
 
 
-def section_areas(
-    body: Body, U: np.ndarray, V: np.ndarray, radial_n: int | None = None
-) -> np.ndarray:
+def section_areas(body: Body, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Euclidean areas of body cut by span(U[i], V[i]) for orthonormal rows U[i], V[i].
 
     Abs-sum bodies take `abs_sum_section_areas` (exact, one batched call);
-    other bodies take `cross_section` per plane, with radial_n angles.
+    other bodies take `cross_section` per plane.
     """
     if isinstance(body, AbsSumBody):
         return abs_sum_section_areas(body.functionals, U, V)
-    return np.array(
-        [cross_section(body, Plane2(u, v), radial_n).euclidean_area for u, v in zip(U, V)]
-    )
+    return np.array([cross_section(body, Plane2(u, v)).euclidean_area for u, v in zip(U, V)])

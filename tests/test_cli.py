@@ -110,10 +110,47 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["section", "--body", "rotated-cross4", "--plane", "zzz"]) == 1
 
 
-def test_non_integer_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("BHD_THREADS", "two")
-    assert main(["section", "--body", "rotated-cross4", "--plane", "w0"]) == 1
-    assert capsys.readouterr().err.startswith("error: BHD_THREADS")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["section", "--body", "rotated-cross4", "--plane", "w0"],
+        ["density", "--body", "cross4", "--bivector", "1,0,0,0,0,0", "--codim2",
+         "--mc-samples", "1000"],
+        ["gap", "--body", "rotated-cross4", "--proj", "0,0,0,0", "--plane", "v9"],
+        ["certify", "--body", "rotated-cross4", "--box", "2", "--grid", "21", "--eps", "0.1",
+         "--extra-planes", "4"],
+        ["certify", "--body", "euclid-n", "--n", "4", "--box", "2", "--grid", "21"],
+        ["lemmas", "--eps-grid", "0.002,0.004,0.008,0.012,0.016,0.02"],
+        ["probe", "--body", "rotated-cross4", "--trials", "20"],
+    ],
+    ids=["section", "density", "gap", "certify", "certify-fails", "lemmas", "probe"],
+)
+def test_thread_environment_variable_is_ignored(args, tmp_path, monkeypatch):
+    # --threads is the one way to set the thread count; BHD_THREADS changes nothing
+    reports = []
+    for env in (None, "two"):
+        if env is not None:
+            monkeypatch.setenv("BHD_THREADS", env)
+        out = tmp_path / f"{env}.out"
+        code = main(args + ["--out", str(out), "--deterministic"])
+        reports.append((code, out.read_bytes()))
+    assert reports[0] == reports[1] and reports[0][0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"kind": "euclidean"}', "[1, 2]", None, '{"kind": "complex_lp", "p": 2, "k": 2.5}'],
+    ids=["missing-key", "not-an-object", "directory", "non-integral-k"],
+)
+def test_malformed_body_file_is_error(content, tmp_path, capsys):
+    body_file = tmp_path / "body.json"
+    if content is None:
+        body_file.mkdir()
+    else:
+        body_file.write_text(content)
+    assert main(["section", "--plane", "w0", "--body", str(body_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error:", "usage error:")) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("proj", ["1,2,3", "1,2,3,4,5", "0,0,nan,0", "inf,0,0,0"])
@@ -267,11 +304,8 @@ def test_lemmas_csv(tmp_path):
     assert v5_row[2] == ""
 
 
-@pytest.mark.parametrize("flag, env", [(["--threads", "-1"], None), ([], "-3")],
-                         ids=["flag", "env"])
-def test_negative_threads_is_error(flag, env, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("BHD_THREADS", env)
+@pytest.mark.parametrize("flag", [["--threads", "-1"]], ids=["flag"])
+def test_negative_threads_is_error(flag, capsys):
     assert main(["certify", "--body", "rotated-cross4", *flag]) == 1
     assert capsys.readouterr().err == "error: threads must be >= 0\n"
 

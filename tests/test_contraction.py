@@ -226,15 +226,6 @@ def test_certificate_parameter_validation(body_c):
         bh.certify_no_contraction(body_c, extra_planes=-3)
 
 
-def test_maximizer_climbs_to_v9_gap(body_c):
-    # at the origin v9's gap is the maximum; from a tilted and a random start the search reaches it
-    for start, start_gap in ((bh.named_plane(1, 0.1), -0.0030), (bh.random_plane(5, 4), -0.62)):
-        start_value = bh.contraction_gap(body_c, bh.ProjectionW0(), start)
-        assert start_value == pytest.approx(start_gap, rel=0.02)
-        gap, label = contraction._maximize_gap_at((0.0,) * 4, [("start", start)], body_c, W0_AREA)
-        assert label == "start" and abs(gap - V9_GAP) < 1e-6
-
-
 def test_scan_grid_witness_beyond_int16():
     # 32,769 copies of w0 with growing areas: the last plane is every cell's witness
     n_planes = 32_769
@@ -373,9 +364,25 @@ def test_certificate_reports_box_and_exterior_guarantees(body_c):
     assert ext["areas"]["a"] == pytest.approx(W0_AREA, abs=1e-12)
     assert ext["areas"]["b"] == pytest.approx(SQRT2, abs=1e-12)
     assert ext["bound"] == min(ext["areas"].values()) * 2.0 - cert.w0_area - box["allowance"]
-    assert len(cert.lifted) == 1 and cert.lifted[0]["lifted_gap"] == cert.worst_cell["local_gap"]
     report = cert.to_report(deterministic=True)
     assert report["box"] == box and report["exterior"] == ext
+    # no point is lifted past the grid: the worst cell's local gap is its grid gap, bitwise
+    assert report["lifted"] == []
+    worst = report["worst_cell"]
+    assert np.float64(worst["local_gap"]).tobytes() == np.float64(worst["gap"]).tobytes()
+
+
+def test_perturbed_body_worst_witness_is_a_family_plane():
+    # rotated-cross4 with its functionals perturbed by 0.03 N(0, 1), the second draw of
+    # default_rng(1): the worst grid point is reported with its family witness and grid gap
+    draws = np.random.default_rng(1).standard_normal((2, 4, 4))
+    body = bh.AbsSumBody(bh.rotation_matrix().T + 0.03 * draws[1])
+    cert = bh.certify_no_contraction(body, grid_n=21, threads=2)
+    report = cert.to_report(deterministic=True)
+    worst = report["worst_cell"]
+    assert report["success"] and report["lifted"] == []
+    assert worst["witness"] in report["family_labels"] and not worst["witness"].startswith("optimized(")
+    assert worst["local_gap"] == worst["gap"] == report["grid_min"]["gap"] > 1e-3
 
 
 def _small_family():
