@@ -9,6 +9,7 @@ Two representations cover everything the toolkit needs:
   coordinate pairs, and products (gauge = max of factor gauges).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -118,8 +119,8 @@ def make_complex_lp(p: float, k: int) -> SmoothBody:
     Unit-modulus complex scaling acts by rotation inside each pair, so the
     gauge satisfies |lambda z| = |lambda| |z| for every complex lambda.
     """
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     if not (1 <= k <= MAX_DIM // 2):
         raise DimensionMismatch(f"complex dimension {k} outside 1..{MAX_DIM // 2}")
     body = SmoothBody(kind="complex_lp", n=2 * k, p=float(p), k=int(k),

@@ -2,14 +2,17 @@
 
 The 2-density of a body B at a simple bivector w is
 ``alpha_2 * |w|_2 / H^2(B intersect span(w))``; the codimension-two variant
-replaces the exact planar section by a Monte Carlo volume of the
+replaces the exact planar section by a quasi-Monte Carlo volume of the
 (n-2)-dimensional central section, with the spanning subspace recovered
-through the Hodge dual.  That volume is the polar (radial) estimate
+through the Hodge dual.  That volume is the polar (radial) integral
 vol(B cut by E) = alpha_m * E[rho(theta)^m], theta uniform on the unit
-sphere of E and rho = 1 / gauge (Gardner, Geometric Tomography), with a
-standard error alpha_m * s / sqrt(n) from the sample standard deviation s.
-The normalizing ball volume alpha_m is kept in both densities (any
-constant cancels from every convexity statement).
+sphere of E and rho = 1 / gauge (Gardner, Geometric Tomography), taken by a
+randomly shifted rule: the rectangle rule on the circle for m = 2 and the R3
+Kronecker point set on S^3 for m = 4, with 64 random shifts whose spread
+gives the standard error (L'Ecuyer and Lemieux, "Variance reduction via
+lattice rules", Management Science 46, 2000).  The normalizing ball volume
+alpha_m is kept in both densities (any constant cancels from every
+convexity statement).
 """
 
 import math
@@ -104,51 +107,79 @@ def _orthocomplement(plane: Plane2) -> np.ndarray:
     return q[:, 2:]
 
 
-_MC_CHUNK = 1 << 12
+_MC_CHUNK = 1 << 12  # points per array pass
+_MC_SHIFTS = 64  # random shifts; the standard error has 63 degrees of freedom
+# R3 Kronecker step (1/g, 1/g^2, 1/g^3), g = 1.2207440846... the real root of x^4 = x + 1
+_R3_STEP = 1.2207440846057596 ** -np.arange(1.0, 4.0)
+
+
+def _frac(x: np.ndarray) -> np.ndarray:
+    return x - np.floor(x)
 
 
 def mc_section_volume(
     body: Body, basis: np.ndarray, n_samples: int, seed: int = 0
 ) -> tuple[float, float]:
-    """Monte Carlo volume of body cut by the subspace E spanned by basis columns.
+    """Randomly shifted quasi-Monte Carlo volume of body cut by E = span(basis columns).
 
-    Polar estimator: vol(K cut by E) = alpha_m * E[rho(theta)^m] with theta
-    uniform on the unit sphere of E and rho = 1 / gauge the radial function.
-    A standard Gaussian g in R^m mapped isometrically into E has a uniform
-    direction, and by homogeneity rho(g/|g|)^m = (|g| / gauge(g))^m, so no
-    outer box is needed.  Returns (volume, stderr) with stderr
-    alpha_m * s / sqrt(n) for the sample standard deviation s; one sample
-    has no sample variance and gets an infinite stderr.  Chunks are keyed
-    by (seed, chunk index) on one `_philox_streams` generator, and their
-    means and centred sums of squares are merged pairwise, so the result
-    is independent of any parallel scheduling of the chunks.  Raises
-    ValueError for a seed outside [0, 2**64).
+    Polar identity: vol(K cut by E) = alpha_m * E[gauge(theta)^(-m)] over theta
+    uniform on the unit sphere of E, m = 2 or 4 (any other m raises
+    DimensionMismatch).  The points are frac(Delta + k * step), k < N =
+    n_samples // 64, for each of 64 shifts Delta drawn uniform from
+    `_philox_streams(seed)`: for m = 2, step = 1/N and theta = 2 pi u is the
+    shifted rectangle rule on the circle; for m = 4, step is the R3
+    Kronecker vector (1/g, 1/g^2, 1/g^3), g^4 = g + 1 (Niederreiter 1992),
+    and u in [0, 1)^3 goes to S^3 by Hopf coordinates
+    (sqrt(1 - t) e^(2 pi i u2), sqrt(t) e^(2 pi i u3)) with the tent
+    t = 1 - |2 u1 - 1|.  Every shift is an unbiased estimate (L'Ecuyer and
+    Lemieux 2000).  The angles come from per-call tables exp(2 pi i j step),
+    j < `_MC_CHUNK`, rotated by one complex multiply per chunk, and the
+    complex points viewed as floats are the interleaved coordinates of E.
+
+    Returns (volume, stderr): alpha_m times the mean of the shift means and
+    their standard error over the shifts (63 degrees of freedom), floored at
+    TOL.mc_rounding_rel of the volume, the rounding the spread cannot see.
+    Below 64 samples no shift has a point: the volume is nan and the stderr
+    infinite.  Raises ValueError for n_samples < 1 or a seed outside
+    [0, 2**64).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     check_seed(seed)
     m = basis.shape[1]
-    done = 0
-    mean = 0.0
-    sq_dev = 0.0
-    chunk_idx = 0
-    keyed = _philox_streams(seed)
-    while done < n_samples:
-        take = min(_MC_CHUNK, n_samples - done)
-        g = keyed(chunk_idx).standard_normal((take, m))
-        radial = np.sqrt(np.einsum("ij,ij->i", g, g)) / minkowski_many(body, g @ basis.T)
-        y = radial**m
-        chunk_mean = float(y.mean())
-        dev = y - chunk_mean
-        total = done + take
-        delta = chunk_mean - mean
-        mean += delta * take / total
-        sq_dev += float(dev @ dev) + delta * delta * done * take / total
-        done = total
-        chunk_idx += 1
-    var = sq_dev / (n_samples - 1) if n_samples > 1 else math.inf
+    if m not in (2, 4):
+        raise DimensionMismatch(f"section volumes are estimated in dimension 2 or 4, not {m}")
+    n_pts = n_samples // _MC_SHIFTS
+    if n_pts == 0:
+        return math.nan, math.inf
+    shifts = _philox_streams(seed)(0).random((_MC_SHIFTS, m - 1))
+    step = np.array([1.0 / n_pts]) if m == 2 else _R3_STEP
+    turns = slice(m // 2 - 1, None)  # the coordinates of u that are angles
+    rows = min(n_pts, _MC_CHUNK)
+    group = _MC_CHUNK // rows  # shifts per pass when a shift has fewer points than a chunk
+    offsets = _frac(np.arange(rows)[:, None] * step)
+    spins = np.exp(2j * np.pi * offsets[:, turns])
+    sums = np.zeros(_MC_SHIFTS)
+    for k0 in range(0, n_pts, rows):
+        take = min(rows, n_pts - k0)
+        for s0 in range(0, _MC_SHIFTS, group):
+            base = _frac(shifts[s0 : s0 + group] + k0 * step)[:, None, :]
+            z = spins[:take] * np.exp(2j * np.pi * base[..., turns])
+            if m == 4:
+                # u1 = base + offset lies in [0, 2), where 1 - tent(frac(u1)) = ||2 u1 - 2| - 1|
+                co_t = np.abs(np.abs(2.0 * base[..., 0] - 2.0 + 2.0 * offsets[:take, 0]) - 1.0)
+                z[..., 0] *= np.sqrt(co_t)
+                z[..., 1] *= np.sqrt(1.0 - co_t)
+            y = 1.0 / minkowski_many(body, z.view(float).reshape(-1, m) @ basis.T)
+            y *= y
+            if m == 4:
+                y *= y
+            sums[s0 : s0 + group] += y.reshape(len(base), take).sum(axis=1)
+    means = sums / n_pts
+    mean = float(means.mean())
+    spread = float(means.std(ddof=1)) / math.sqrt(_MC_SHIFTS)
     a = alpha(m)
-    return a * mean, a * math.sqrt(var / n_samples)
+    return a * mean, a * max(spread, TOL.mc_rounding_rel * mean)
 
 
 def bh_density_codim2(
@@ -159,10 +190,12 @@ def bh_density_codim2(
     ``w`` is a simple (n-2)-vector: a Bivector when n = 4, otherwise the
     lex-ordered coordinate array of degree n-2.  The spanning subspace is
     the orthogonal complement of the plane of the Hodge-dual bivector, and
-    the section volume is the seeded polar estimate of `mc_section_volume`
-    with its sample-variance standard error.  Raises InsufficientSamples
-    when that error exceeds TOL.mc_rel_stderr of the volume, which always
-    holds for a single sample.
+    the section volume is the seeded randomly shifted quasi-Monte Carlo
+    estimate of `mc_section_volume`, whose standard error (the spread of its
+    64 shift means, 63 degrees of freedom) the density's stderr carries
+    over.  Raises InsufficientSamples below 64 samples, where a shift has no
+    point, and when the standard error exceeds TOL.mc_rel_stderr of the
+    volume.
     """
     n = body.n
     if n not in (4, 6):
@@ -182,11 +215,14 @@ def bh_density_codim2(
         raise NotSimple("multivector is not simple within tolerance")
     dual_plane = plane_from_bivector(dual)
     basis = _orthocomplement(dual_plane)
-    volume, vol_se = mc_section_volume(body, basis, mc_samples, seed)
-    if volume <= 0.0 or vol_se / volume > TOL.mc_rel_stderr:
+    if mc_samples < _MC_SHIFTS:
         raise InsufficientSamples(
-            f"relative standard error {vol_se / volume if volume else float('inf'):.3g} "
-            f"exceeds {TOL.mc_rel_stderr:.0%}"
+            f"{mc_samples} samples leave a shift without a point; at least {_MC_SHIFTS} are needed"
+        )
+    volume, vol_se = mc_section_volume(body, basis, mc_samples, seed)
+    if vol_se > TOL.mc_rel_stderr * volume:
+        raise InsufficientSamples(
+            f"relative standard error {vol_se / volume:.3g} exceeds {TOL.mc_rel_stderr:.0%}"
         )
     value = alpha(n - 2) * w_norm / volume
     stderr = value * vol_se / volume

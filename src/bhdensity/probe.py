@@ -132,7 +132,11 @@ def _phi_dim4(body: Body, seed: int, start: int, stop: int):
 def _phi_dim6(body: Body, seed: int, start: int, stop: int, samples: int):
     """Codim-2 densities (m, 3) of the Hodge duals of trials start..stop-1, bands and triples.
 
-    The band of a trial is three combined standard errors.
+    The band of a trial is three combined standard errors.  Each comes from
+    the spread of 64 shift means, so it has 63 degrees of freedom; three
+    standard errors of Student's t with 63 degrees of freedom cover 99.61%
+    two-sided (99.73% for a normal), and the combination of the three has at
+    least those degrees of freedom.
     """
     triple = _shared_line_rows(seed, 6, range(start, stop))[1]
     values = [
@@ -158,13 +162,14 @@ def semi_ellipticity_scan(
     Four-dimensional bodies score the planes of the drawn triples through
     `section_areas` (violation band 1e-8); six-dimensional bodies test the
     degree-4 duals of the drawn bivector triples through the codimension-two
-    Monte Carlo densities (mc_samples each, 10^6 when unset, seeded
+    quasi-Monte Carlo densities (mc_samples each, 10^6 when unset, seeded
     (seed << 20) + 3 * trial + j), with the band widened to three combined
-    standard errors.  Reports the minimum slack, the worst trial (the first
-    one at the minimum, its triple kept from its chunk, so bitwise
-    `shared_line_decomposition(seed, n, trial)`) and the violation count;
-    for n = 6 the stored trial bivectors are the Hodge duals of the tested
-    multivectors.  Raises ValueError for a seed outside [0, 2**64), or one
+    standard errors of 63 degrees of freedom each (99.61% two-sided
+    coverage under Student's t).  Reports the minimum slack, the worst
+    trial (the first one at the minimum, its triple kept from its chunk, so
+    bitwise `shared_line_decomposition(seed, n, trial)`) and the violation
+    count; for n = 6 the stored trial bivectors are the Hodge duals of the
+    tested multivectors.  Raises ValueError for a seed outside [0, 2**64), or one
     whose dim-6 Monte Carlo seeds would leave it.
     """
     if trials < 1:

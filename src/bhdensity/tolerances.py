@@ -17,6 +17,7 @@ class Tolerances:
     resample_defect: float = 1e-9   # random draws closer than this get redrawn
     radial_n: int = 4096            # default angular resolution for smooth sections
     mc_rel_stderr: float = 0.01     # maximum relative standard error for MC volumes
+    mc_rounding_rel: float = 1e-13  # floor of a QMC volume's relative standard error
 
 
 TOL = Tolerances()

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -184,6 +185,40 @@ def test_codim2_zero_samples_is_error(capsys):
     args = ["density", "--body", "cross4", "--bivector", "1,0,0,0,0,0", "--codim2"]
     assert main(args + ["--mc-samples", "0"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_codim2_below_one_point_per_shift_is_error(capsys):
+    # 64 random shifts need at least 64 samples, one point each
+    args = ["density", "--body", "euclid-n", "--bivector", "1,0,0,0,0,0", "--codim2"]
+    assert main(args + ["--mc-samples", "63"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "64" in err and "Traceback" not in err
+    assert main(args + ["--mc-samples", "64", "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["section", "--plane", "w0"],
+        ["probe", "--trials", "1"],
+        ["density", "--bivector", "1,0,0,0,0,0"],
+    ],
+    ids=["section", "probe", "density"],
+)
+def test_non_finite_p_is_error(args, p, capsys):
+    assert main([*args, "--body", "complex-lp", "--p", p, "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p must be a finite number >= 1") and "Traceback" not in err
+
+
+def test_non_finite_p_in_body_file_is_error(tmp_path, capsys):
+    # Python's json reads the NaN literal
+    body_file = tmp_path / "body.json"
+    body_file.write_text('{"kind": "complex_lp", "p": NaN, "k": 2}')
+    assert main(["section", "--plane", "w0", "--body", str(body_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p must be a finite number >= 1") and "Traceback" not in err
 
 
 def test_probe_zero_trials_is_error(capsys):

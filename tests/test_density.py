@@ -5,8 +5,9 @@ import pytest
 
 import bhdensity as bh
 from bhdensity.bodies import minkowski_many
-from bhdensity.density import _MC_CHUNK
+from bhdensity.density import _MC_CHUNK, _R3_STEP
 from bhdensity.geom import _philox
+from bhdensity.tolerances import TOL
 from conftest import W0_AREA
 
 
@@ -103,7 +104,7 @@ def test_codim2_seed_reproducibility():
 
 
 def test_codim2_insufficient_samples(body_c):
-    # 5 polar samples give 1.54% relative stderr at seed 0; 1 has no sample variance
+    # below 64 samples one of the 64 random shifts gets no point
     w = bh.wedge(np.eye(4)[0], np.eye(4)[1])
     for n_samples in (1, 5):
         with pytest.raises(bh.InsufficientSamples):
@@ -136,16 +137,115 @@ def test_mc_volume_parallel_invariance(body_c):
     assert v1 == v2
 
 
-def test_mc_volume_matches_one_pass_reference():
-    # the chunk merge must equal mean and sample variance over all draws at once
-    body = bh.make_complex_lp(1.5, 3)
-    basis, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 4)))
-    n = 3 * _MC_CHUNK + 17
-    g = np.vstack([
-        _philox(4, i).standard_normal((min(_MC_CHUNK, n - i * _MC_CHUNK), 4))
-        for i in range(4)
-    ])
-    y = (np.linalg.norm(g, axis=1) / minkowski_many(body, g @ basis.T)) ** 4
-    vol, se = bh.mc_section_volume(body, basis, n, seed=4)
-    assert abs(vol - bh.alpha(4) * y.mean()) <= 1e-13 * vol
-    assert abs(se - bh.alpha(4) * y.std(ddof=1) / math.sqrt(n)) <= 1e-10 * se
+def _direct_qmc(body, basis, n_samples, seed):
+    """All points of all 64 shifts at once, their angles from np.cos and np.sin."""
+    m = basis.shape[1]
+    n_pts = n_samples // 64
+    step = np.array([1.0 / n_pts]) if m == 2 else _R3_STEP
+    u = (_philox(seed).random((64, 1, m - 1)) + np.arange(n_pts)[:, None] * step) % 1.0
+    if m == 2:
+        radii, turns = np.ones((64, n_pts, 1)), u
+    else:
+        t = 1.0 - np.abs(2.0 * u[..., :1] - 1.0)
+        radii, turns = np.concatenate((np.sqrt(1.0 - t), np.sqrt(t)), axis=-1), u[..., 1:]
+    pts = np.stack((radii * np.cos(2 * np.pi * turns), radii * np.sin(2 * np.pi * turns)), axis=-1)
+    y = minkowski_many(body, pts.reshape(-1, m) @ basis.T) ** -m
+    means = y.reshape(64, n_pts).mean(axis=1)
+    return bh.alpha(m) * means.mean(), bh.alpha(m) * means.std(ddof=1) / 8.0
+
+
+def test_r3_step_is_the_generalized_golden_ratio():
+    g = 1.0 / _R3_STEP[0]
+    assert abs(g**4 - g - 1.0) <= 4 * np.finfo(float).eps
+    assert np.allclose(_R3_STEP, g ** -np.arange(1.0, 4.0), rtol=2e-16, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "body, m, n_samples",
+    [
+        (bh.make_complex_lp(1.5, 3), 4, 64 * (_MC_CHUNK + 17)),
+        (bh.make_cross_polytope(6), 4, 64 * 100 + 5),
+        (bh.make_rotated_cross_polytope(), 2, 64 * (_MC_CHUNK + 17)),
+        (bh.make_complex_lp(3.0, 2), 2, 64 * 1000 + 63),
+    ],
+    ids=["complex-lp-m4-chunks", "cross6-m4-grouped", "rotated-cross4-m2-chunks",
+         "complex-lp-m2-grouped"],
+)
+def test_mc_volume_matches_direct_trigonometry_oracle(body, m, n_samples):
+    # the table-rotated chunks must give what the points computed one by one give
+    basis, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((body.n, m)))
+    vol, se = bh.mc_section_volume(body, basis, n_samples, seed=4)
+    ref_vol, ref_se = _direct_qmc(body, basis, n_samples, seed=4)
+    assert abs(vol - ref_vol) <= 1e-13 * ref_vol
+    assert abs(se - ref_se) <= 1e-13 * ref_vol
+
+
+# two-sided tails of Student's t with 63 degrees of freedom, the shift spread's
+_T63_TAIL = {1.0: 0.32114, 3.0: 0.0038638}
+
+
+def _binomial_bounds(trials, prob, tail=1e-6):
+    """Counts outside [lo, hi] have probability below tail on each side."""
+    pmf = [math.comb(trials, k) * prob**k * (1.0 - prob) ** (trials - k) for k in range(trials + 1)]
+    cdf = np.cumsum(pmf)
+    lo = int(np.searchsorted(cdf, tail))
+    hi = int(np.searchsorted(cdf, 1.0 - tail))
+    return lo, hi
+
+
+def _check_coverage(z):
+    z = np.abs(np.asarray(z))
+    for level, prob in _T63_TAIL.items():
+        lo, hi = _binomial_bounds(len(z), prob)
+        assert lo <= np.count_nonzero(z > level) <= hi, (level, np.sort(z)[-5:])
+
+
+def test_codim2_coverage_on_rotated_cross4(body_c):
+    # m = 2: the shifted rectangle rule's spread against the exact 2-density
+    gen = np.random.default_rng(77)
+    z = []
+    for i in range(300):
+        w = bh.wedge(gen.standard_normal(4), gen.standard_normal(4))
+        w = (1.0 / w.norm) * w
+        mc = bh.bh_density_codim2(body_c, w, 64 * 500, seed=i)
+        z.append((mc.value - bh.bh_density_2(body_c, w).value) / mc.stderr)
+    _check_coverage(z)
+
+
+@pytest.mark.parametrize(
+    "body, exact",
+    [
+        (bh.make_complex_lp(1.5, 3), (math.pi * math.gamma(1 + 2 / 1.5)) ** 2 / math.gamma(1 + 4 / 1.5)),
+        (bh.make_complex_lp(3.0, 3), (math.pi * math.gamma(1 + 2 / 3.0)) ** 2 / math.gamma(1 + 4 / 3.0)),
+        (bh.make_cross_polytope(6), 2.0 / 3.0),
+    ],
+    ids=["complex-lp-1.5", "complex-lp-3", "cross6"],
+)
+def test_mc_volume_coverage_on_closed_forms(body, exact):
+    # m = 4: the Kronecker rule's spread against the closed-form coordinate sections
+    z = []
+    for seed in range(200):
+        vol, se = bh.mc_section_volume(body, np.eye(6)[:, :4], 64 * 200, seed=seed)
+        z.append((vol - exact) / se)
+    _check_coverage(z)
+
+
+def test_mc_volume_refuses_other_dimensions():
+    body = bh.make_complex_lp(2.0, 3)
+    for m in (1, 3, 5):
+        with pytest.raises(bh.DimensionMismatch):
+            bh.mc_section_volume(body, np.eye(6)[:, :m], 64 * 10, seed=0)
+
+
+def test_mc_volume_below_one_point_per_shift():
+    vol, se = bh.mc_section_volume(bh.make_cross_polytope(4), np.eye(4)[:, :2], 63, seed=0)
+    assert math.isnan(vol) and se == math.inf
+
+
+def test_codim2_rounding_floor():
+    # on a Euclidean ball every point scores 1 up to rounding, which the spread misses
+    ball = bh.make_euclidean_ball(6)
+    basis, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 4)))
+    vol, se = bh.mc_section_volume(ball, basis, 64 * 1000, seed=1)
+    assert se == TOL.mc_rounding_rel * vol
+    assert abs(vol - bh.alpha(4)) <= 3.0 * se
