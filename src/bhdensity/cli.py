@@ -109,15 +109,23 @@ def parse_plane(text: str, n: int) -> Plane2:
     if text.startswith("random:"):
         return random_plane(int(text.split(":", 1)[1]), n)
     nums = _parse_floats(text)
-    if len(nums) != 2 * n or len(nums) % 2:
+    if len(nums) != 2 * n:
         raise UsageError(
             f"raw plane needs {2 * n} numbers (two basis vectors), got {len(nums)}"
         )
-    half = len(nums) // 2
-    return gram_schmidt(np.array(nums[:half]), np.array(nums[half:]))
+    return gram_schmidt(np.array(nums[:n]), np.array(nums[n:]))
 
 
-def _emit(args, payload: dict, default_stream=None):
+def _write(args, text: str):
+    """Write a report to --out, or to stdout without one."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, payload: dict):
     # the thread count and the output path do not change a result, so a
     # deterministic report leaves them out
     skip = ("func", "threads", "out") if args.deterministic else ("func",)
@@ -131,12 +139,7 @@ def _emit(args, payload: dict, default_stream=None):
     if not args.deterministic:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     report.update(payload)
-    text = dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        (default_stream or sys.stdout).write(text)
+    _write(args, dumps(report))
 
 
 def cmd_section(args):
@@ -158,10 +161,7 @@ def cmd_density(args):
     body = build_body(args)
     coords = np.array(_parse_floats(args.bivector))
     if args.codim2:
-        if body.n == 4:
-            value = bh_density_codim2(body, Bivector(coords, 4), args.mc_samples, args.seed)
-        else:
-            value = bh_density_codim2(body, coords, args.mc_samples, args.seed)
+        value = bh_density_codim2(body, coords, args.mc_samples, args.seed)
     else:
         value = bh_density_2(body, Bivector(coords, body.n))
     _emit(args, {"value": value.value, "stderr": value.stderr, "body": value.body})
@@ -244,12 +244,7 @@ def cmd_lemmas(args):
                 format(c_fit, ".17g"),
             ]
         )
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, buf.getvalue())
     return 0
 
 

@@ -18,6 +18,7 @@ form through the four coordinate planes whose f is -a, -b, c or d.
 """
 
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,9 +50,6 @@ class ProjectionW0:
         out[1] = x[1] + self.c * x[2] + self.d * x[3]
         return out
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
 
 @dataclass(frozen=True)
 class PlaneFamilyId:
@@ -63,7 +61,7 @@ class PlaneFamilyId:
     def __post_init__(self):
         if self.index not in range(1, 10):
             raise InvalidId(f"plane index {self.index} outside 1..9")
-        if self.index != 9 and abs(self.epsilon) > 0.5:
+        if self.index != 9 and not abs(self.epsilon) <= 0.5:
             raise InvalidId("epsilon must satisfy |eps| <= 0.5")
 
 
@@ -170,7 +168,7 @@ def lemma_lower_bound(family: str, eps: float) -> float:
     ``v3v4`` the mixed-sign pair.  Both reduce to 8/(4 + 3*sqrt(2)) at
     eps = 0 and are even in eps.
     """
-    if abs(eps) >= 0.5:
+    if not abs(eps) < 0.5:
         raise ValueError("|eps| must be below 0.5")
     e2 = eps * eps
     if family == "v1v2":
@@ -219,67 +217,52 @@ class PinningReport:
 
     eps: float
     intervals: dict
-    widths: dict
+
+    @property
+    def widths(self) -> dict:
+        return {combo: hi - lo for combo, (lo, hi) in self.intervals.items()}
 
 
-_PIN_LINES = {
-    "a+d": (1, 2, lambda t: ProjectionW0(t / 2.0, 0.0, 0.0, t / 2.0)),
-    "a-d": (4, 3, lambda t: ProjectionW0(t / 2.0, 0.0, 0.0, -t / 2.0)),
-    "b+c": (5, 6, lambda t: ProjectionW0(0.0, t / 2.0, t / 2.0, 0.0)),
-    "b-c": (8, 7, lambda t: ProjectionW0(0.0, t / 2.0, -t / 2.0, 0.0)),
-}
-
-
-def _gap_root_increasing(gap_fn, lo, hi):
-    """Root of an increasing function bracketed by sign change, by bisection."""
-    flo, fhi = gap_fn(lo), gap_fn(hi)
-    while fhi <= 0.0:
-        hi = lo + 2.0 * (hi - lo)
-        fhi = gap_fn(hi)
-    if flo >= 0.0:
-        raise ValueError("left bracket is not negative")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if gap_fn(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# the plane pair (first, second) of each pinned combination
+_PIN_PAIRS = {"a+d": (1, 2), "a-d": (4, 3), "b+c": (5, 6), "b-c": (8, 7)}
 
 
 def projection_pinning(body: Body, eps: float) -> PinningReport:
     """Interval bounds on (a+d, a-d, b+c, b-c) from the eight tilted planes.
 
-    For each combination, the projection moves along the symmetric parameter
-    line and the two matched planes of the pair flag a violation on either
-    side; the reported interval runs between the two gap sign changes.  The
-    intervals always contain 0 and shrink linearly with eps.
+    Each combination moves the projection along the line
+    (a, b, c, d) = (t/2) sigma, with sigma = (1, 0, 0, 1), (1, 0, 0, -1),
+    (0, 1, 1, 0) or (0, 1, -1, 0).  On that line the pair's first plane at
+    t, and its second plane at -t, have the area factor exactly
+
+        f(t) = (1 + eps t/2)^2 / (1 + eps^2),
+
+    since, with (sigma_u, sigma_v) the plane's tilt signs and
+    s^2 = 1/(1 + eps^2), f = s^2 (1 + sigma_u a eps)(1 + sigma_v d eps) on
+    v1..v4 when b = c = 0 and f = s^2 (1 + sigma_u b eps)(1 + sigma_v c eps)
+    on v5..v8 when a = d = 0.  f increases for t > -2/eps, so a plane of
+    section area A shows a violation (A f > w0_area) exactly beyond
+
+        t* = (2/eps) (sqrt(w0_area (1 + eps^2) / A) - 1),
+
+    and the interval runs between -t* of the second plane and t* of the
+    first, in increasing order (either may have either sign).  With
+    A = w0_area + c eps^2 + O(eps^4), t* = eps (1 - c/w0_area) + O(eps^3):
+    the intervals contain 0 when c < w0_area and shrink linearly with eps.
     """
     if not (0.0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 0.1]")
     w0_area = cross_section(body, w0_plane(body.n)).euclidean_area
+
+    def t_star(idx):
+        area = cross_section(body, named_plane(idx, eps)).euclidean_area
+        return 2.0 / eps * (math.sqrt(w0_area * (1.0 + eps * eps) / area) - 1.0)
+
     intervals = {}
-    widths = {}
-    for combo, (idx_plus, idx_minus, line) in _PIN_LINES.items():
-        plane_plus = named_plane(idx_plus, eps)
-        plane_minus = named_plane(idx_minus, eps)
-        area_plus = cross_section(body, plane_plus).euclidean_area
-        area_minus = cross_section(body, plane_minus).euclidean_area
-
-        def gap_plus(t):
-            return area_factor(line(t), plane_plus) * area_plus - w0_area
-
-        def gap_minus_neg(t):
-            # reflect so the bisection always sees an increasing function
-            return area_factor(line(-t), plane_minus) * area_minus - w0_area
-
-        vertex = -2.0 / eps + 1e-9  # lambda vanishes there, gap surely negative
-        hi = _gap_root_increasing(gap_plus, vertex, vertex + 4.0 / eps)
-        lo = -_gap_root_increasing(gap_minus_neg, vertex, vertex + 4.0 / eps)
-        lo, hi = min(lo, hi), max(lo, hi)
-        intervals[combo] = (lo, hi)
-        widths[combo] = hi - lo
-    return PinningReport(eps, intervals, widths)
+    for combo, (first, second) in _PIN_PAIRS.items():
+        hi, lo = t_star(first), -t_star(second)
+        intervals[combo] = (min(lo, hi), max(lo, hi))
+    return PinningReport(eps, intervals)
 
 
 # ---------------------------------------------------------------------------

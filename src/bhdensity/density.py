@@ -195,7 +195,8 @@ def bh_density_codim2(
     64 shift means, 63 degrees of freedom) the density's stderr carries
     over.  Raises InsufficientSamples below 64 samples, where a shift has no
     point, and when the standard error exceeds TOL.mc_rel_stderr of the
-    volume.
+    volume, and, through `plane_from_bivector`, ZeroBivector or NotSimple for
+    a zero or non-simple multivector.
     """
     n = body.n
     if n not in (4, 6):
@@ -208,13 +209,7 @@ def bh_density_codim2(
     else:
         coords = np.asarray(w, dtype=float)
         dual = hodge_star_codim(coords, n)
-    w_norm = float(np.linalg.norm(coords))
-    if w_norm == 0.0:
-        raise ZeroBivector("zero multivector")
-    if abs(plucker_defect(dual)) > TOL.simplicity_rel * w_norm**2:
-        raise NotSimple("multivector is not simple within tolerance")
-    dual_plane = plane_from_bivector(dual)
-    basis = _orthocomplement(dual_plane)
+    basis = _orthocomplement(plane_from_bivector(dual))
     if mc_samples < _MC_SHIFTS:
         raise InsufficientSamples(
             f"{mc_samples} samples leave a shift without a point; at least {_MC_SHIFTS} are needed"
@@ -224,6 +219,7 @@ def bh_density_codim2(
         raise InsufficientSamples(
             f"relative standard error {vol_se / volume:.3g} exceeds {TOL.mc_rel_stderr:.0%}"
         )
+    w_norm = float(np.linalg.norm(coords))
     value = alpha(n - 2) * w_norm / volume
     stderr = value * vol_se / volume
     return DensityValue(value, body.label, w_norm, stderr)

@@ -181,6 +181,12 @@ def test_gap_below_dimension_four_is_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_nan_plane_epsilon_is_error(capsys):
+    assert main(["section", "--body", "rotated-cross4", "--plane", "v1:nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad plane") and "epsilon must satisfy" in err
+
+
 def test_codim2_zero_samples_is_error(capsys):
     args = ["density", "--body", "cross4", "--bivector", "1,0,0,0,0,0", "--codim2"]
     assert main(args + ["--mc-samples", "0"]) == 1

@@ -27,6 +27,14 @@ def test_named_plane_invalid():
         bh.named_plane(11)
     with pytest.raises(bh.InvalidId):
         bh.named_plane(2, 0.7)
+    with pytest.raises(bh.InvalidId, match="epsilon"):
+        bh.named_plane(1, math.nan)
+
+
+@pytest.mark.parametrize("eps", [0.5, -0.5, math.nan])
+def test_lemma_lower_bound_rejects_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        bh.lemma_lower_bound("v1v2", eps)
 
 
 def test_area_factor_examples():
@@ -168,6 +176,52 @@ def test_projection_pinning_euclidean(ball4):
     for lo, hi in rep.intervals.values():
         assert abs(-lo - hi) < 1e-9
         assert abs(hi - 0.05) < 1e-3  # ~eps at leading order
+
+
+# sign pattern sigma of each pinning line (a, b, c, d) = (t/2) sigma and its plane pair
+PIN_LINES = {
+    "a+d": ((1, 0, 0, 1), 1, 2),
+    "a-d": ((1, 0, 0, -1), 4, 3),
+    "b+c": ((0, 1, 1, 0), 5, 6),
+    "b-c": ((0, 1, -1, 0), 8, 7),
+}
+
+
+def pin_projection(sigma, t):
+    return bh.ProjectionW0(*(0.5 * t * s for s in sigma))
+
+
+def test_area_factor_is_exact_square_on_pinning_lines():
+    # the first plane at t and the second at -t both have f = (1 + eps t/2)^2 / (1 + eps^2)
+    for eps in (0.01, 0.0125, 0.05, 0.1):
+        for t in np.linspace(-1.5 / eps, 3.0 / eps, 37):
+            exact = (1.0 + eps * t / 2.0) ** 2 / (1.0 + eps * eps)
+            for sigma, first, second in PIN_LINES.values():
+                for idx, ti in ((first, t), (second, -t)):
+                    lam = bh.area_factor(pin_projection(sigma, ti), bh.named_plane(idx, eps))
+                    assert abs(lam - exact) < 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.0125])
+def test_projection_pinning_ends_are_gap_roots(body_c, ball4, eps):
+    for body in (body_c, ball4):
+        rep = bh.projection_pinning(body, eps)
+        w0_area = bh.cross_section(body, bh.w0_plane(4)).euclidean_area
+        for combo, (sigma, first, second) in PIN_LINES.items():
+            lo, hi = rep.intervals[combo]
+            assert lo <= hi
+            for idx, sign in ((first, 1.0), (second, -1.0)):
+                plane = bh.named_plane(idx, eps)
+                gaps = [bh.contraction_gap(body, pin_projection(sigma, sign * t), plane, w0_area)
+                        for t in (lo, hi)]
+                assert min(abs(g) for g in gaps) < 1e-12
+
+
+def test_projection_pinning_rate_on_rotated_cross4(body_c):
+    # t* = eps (1 - c/w0) + O(eps^3) with the v1v2 tilt coefficient c
+    eps = 0.0125
+    _, hi = bh.projection_pinning(body_c, eps).intervals["a+d"]
+    assert abs(hi / eps - (1.0 - C1_V1V2 / W0_AREA)) < 1e-3
 
 
 def test_certificate_small_run_and_determinism(body_c):

@@ -103,6 +103,24 @@ def test_codim2_seed_reproducibility():
     assert abs(a.value - c.value) <= 3.0 * math.hypot(a.stderr, c.stderr)
 
 
+def _e12_plus_e34(n):
+    coords = np.zeros(n * (n - 1) // 2)
+    coords[[0, 2 * n - 3]] = 1.0  # lex positions of 12 and 34
+    return bh.Bivector(coords, n)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_codim2_rejects_zero_and_non_simple(body_c, n):
+    # n = 4 takes a Bivector, n = 6 the coordinates of a 4-vector
+    body = body_c if n == 4 else bh.make_complex_lp(2.0, 3)
+    non_simple = bh.hodge_star(_e12_plus_e34(n))
+    zero = bh.Bivector(np.zeros(6), 4) if n == 4 else np.zeros(15)
+    with pytest.raises(bh.ZeroBivector):
+        bh.bh_density_codim2(body, zero, 64, seed=0)
+    with pytest.raises(bh.NotSimple):
+        bh.bh_density_codim2(body, non_simple, 64, seed=0)
+
+
 def test_codim2_insufficient_samples(body_c):
     # below 64 samples one of the 64 random shifts gets no point
     w = bh.wedge(np.eye(4)[0], np.eye(4)[1])
