@@ -13,7 +13,6 @@ from .bodies import (
     Body,
     SmoothBody,
     body_from_dict,
-    body_radius_bounds,
     body_to_dict,
     make_complex_lp,
     make_cross_polytope,
@@ -26,7 +25,6 @@ from .bodies import (
 from .contraction import (
     Certificate,
     PinningReport,
-    PlaneFamilyId,
     ProjectionW0,
     area_factor,
     certify_no_contraction,

@@ -2,9 +2,11 @@
 
 The stdlib ``json`` module does not expose float formatting, and report
 files must be bitwise reproducible, so reports go through this small
-recursive emitter instead.
+recursive emitter instead.  Strings and keys are escaped by ``json`` itself
+(``ensure_ascii=False``: non-ASCII text stays as it is).
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,20 +20,6 @@ def _fmt_float(x: float) -> str:
     if "e" not in text and "." not in text and "E" not in text:
         text += ".0"
     return text
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 def dumps(obj, indent: int = 2) -> str:
@@ -49,7 +37,7 @@ def dumps(obj, indent: int = 2) -> str:
         if isinstance(node, (float, np.floating)):
             return _fmt_float(node)
         if isinstance(node, str):
-            return f'"{_escape(node)}"'
+            return json.dumps(node, ensure_ascii=False)
         if isinstance(node, np.ndarray):
             node = node.tolist()
         if isinstance(node, (list, tuple)):
@@ -61,7 +49,8 @@ def dumps(obj, indent: int = 2) -> str:
             if not node:
                 return "{}"
             items = [
-                f'{pad_in}"{_escape(str(k))}": {emit(v, depth + 1)}' for k, v in node.items()
+                f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: {emit(v, depth + 1)}"
+                for k, v in node.items()
             ]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
         raise TypeError(f"cannot serialize {type(node)!r}")

@@ -181,34 +181,6 @@ def minkowski(body: Body, x) -> float:
     return float(minkowski_many(body, x[None, :])[0])
 
 
-def body_radius_bounds(body: Body) -> tuple[float, float]:
-    """Probe-based radii with r_in * B2 inside the body inside ~r_out * B2.
-
-    r_in is exact for abs-sum bodies (reciprocal of the functional norm sum)
-    and a probe minimum otherwise; r_out is the maximum radius over 2n axis
-    probes plus 1024 seeded random rays.  r_out is a probe estimate, not a
-    bound: it can fall below the circumradius (complex-lp(3, 3) gives
-    1.200834 against 3^(1/6) = 1.200937).
-    """
-    n = body.n
-    dirs = [np.eye(n)[i] * s for i in range(n) for s in (1.0, -1.0)]
-    if isinstance(body, AbsSumBody) and body.functionals.shape[0] == n:
-        # square functional matrix: the polytope vertices are known exactly
-        verts = np.linalg.inv(body.functionals)
-        dirs.extend((verts / np.linalg.norm(verts, axis=0)).T)
-    gen = _philox(0xB0D1)
-    rnd = gen.standard_normal((1024, n))
-    rnd /= np.linalg.norm(rnd, axis=1, keepdims=True)
-    D = np.vstack([np.array(dirs), rnd])
-    radii = 1.0 / minkowski_many(body, D)
-    r_out = float(radii.max())
-    if isinstance(body, AbsSumBody):
-        r_in = float(1.0 / np.linalg.norm(body.functionals, axis=1).sum())
-    else:
-        r_in = float(radii.min())
-    return r_in, r_out
-
-
 def body_to_dict(body: Body) -> dict:
     """JSON-ready description matching the CLI ingestion schema."""
     if isinstance(body, AbsSumBody):

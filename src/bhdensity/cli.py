@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 certificate failure.
 import argparse
 import csv
 import io
+import json
 import os
 import sys
 import time
@@ -61,17 +62,8 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def build_body(args) -> Body:
-    """Builtin body names or a JSON body file."""
+    """A builtin body name, or else the path of a JSON body file."""
     name = args.body
-    if os.path.exists(name):
-        import json
-
-        try:
-            with open(name) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read body file {name!r}: {exc.strerror}") from None
-        return body_from_dict(data)
     if name == "cross4":
         return make_cross_polytope(4)
     if name == "rotated-cross4":
@@ -79,18 +71,24 @@ def build_body(args) -> Body:
     if name == "euclid-n":
         return make_euclidean_ball(4 if args.n is None else args.n)
     if name == "complex-lp":
-        p = getattr(args, "p", None)
-        k = getattr(args, "k", None)
-        if p is None or k is None:
+        if args.p is None or args.k is None:
             raise UsageError("complex-lp requires --p and --k")
-        return make_complex_lp(p, k)
+        return make_complex_lp(args.p, args.k)
     if name == "product-c-b":
         m = 1 if args.euclidean_dim is None else args.euclidean_dim
         return make_product(make_rotated_cross_polytope(), m)
-    raise UsageError(
-        f"unknown body {name!r}; use cross4 | rotated-cross4 | euclid-n | "
-        "complex-lp | product-c-b or a JSON file path"
-    )
+    if not os.path.exists(name):
+        raise UsageError(
+            f"unknown body {name!r}; use cross4 | rotated-cross4 | euclid-n | "
+            "complex-lp | product-c-b or a JSON file path"
+        )
+    try:
+        with open(name) as fh:
+            return body_from_dict(json.load(fh))
+    except OSError as exc:
+        raise UsageError(f"cannot read body file {name!r}: {exc.strerror}") from None
+    except RecursionError:
+        raise UsageError(f"body file {name!r} nests too deeply") from None
 
 
 def parse_plane(text: str, n: int) -> Plane2:
@@ -134,7 +132,7 @@ def _emit(args, payload: dict):
         "config_echo": {
             k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
         },
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
     }
     if not args.deterministic:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

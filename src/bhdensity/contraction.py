@@ -51,20 +51,6 @@ class ProjectionW0:
         return out
 
 
-@dataclass(frozen=True)
-class PlaneFamilyId:
-    """Member of the built-in witness family: index 1..9, epsilon for 1..8."""
-
-    index: int
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.index not in range(1, 10):
-            raise InvalidId(f"plane index {self.index} outside 1..9")
-        if self.index != 9 and not abs(self.epsilon) <= 0.5:
-            raise InvalidId("epsilon must satisfy |eps| <= 0.5")
-
-
 # axis attached to (e1, e2) and the sign pattern, for indices 1..8
 _FAMILY_AXES = {
     1: (2, 3, +1.0, +1.0),
@@ -78,22 +64,23 @@ _FAMILY_AXES = {
 }
 
 
-def named_plane(plane_id: PlaneFamilyId | int, epsilon: float | None = None) -> Plane2:
+def named_plane(index: int, epsilon: float = 0.0) -> Plane2:
     """The nine named planes of the witness family (in R^4).
 
     Indices 1..8 tilt (e1, e2) into the (e3, e4) directions by epsilon with
     the four sign patterns on either axis pairing; index 9 is the fixed
-    far-away plane.  epsilon = 0 degenerates indices 1..8 to W0.
+    far-away plane.  epsilon = 0 degenerates indices 1..8 to W0.  Raises
+    InvalidId for an index outside 1..9 or, below 9, |epsilon| > 0.5 or NaN.
     """
-    if isinstance(plane_id, PlaneFamilyId):
-        pid = plane_id
-    else:
-        pid = PlaneFamilyId(int(plane_id), 0.0 if epsilon is None else float(epsilon))
-    if pid.index == 9:
+    if index not in range(1, 10):
+        raise InvalidId(f"plane index {index} outside 1..9")
+    if index == 9:
         s = 1.0 / SQRT2
         return Plane2(np.array([s, 0.0, s, 0.0]), np.array([0.0, s, 0.0, -s]))
-    ax_u, ax_v, sign_u, sign_v = _FAMILY_AXES[pid.index]
-    eps = pid.epsilon
+    eps = float(epsilon)
+    if not abs(eps) <= 0.5:
+        raise InvalidId("epsilon must satisfy |eps| <= 0.5")
+    ax_u, ax_v, sign_u, sign_v = _FAMILY_AXES[index]
     scale = 1.0 / np.sqrt(1.0 + eps * eps)
     u = np.zeros(4)
     v = np.zeros(4)
@@ -287,9 +274,6 @@ class Certificate:
     cell_values: np.ndarray = field(repr=False)
     cell_witness: np.ndarray = field(repr=False)
     cell_bounds: np.ndarray = field(repr=False)
-    grid_min_gap: float = 0.0
-    grid_min_point: tuple = (0.0, 0.0, 0.0, 0.0)
-    grid_min_witness: str = ""
     refined_count: int = 0
     worst_cell: dict = field(default_factory=dict)
     global_min_max_gap: float = 0.0
@@ -312,11 +296,7 @@ class Certificate:
             "family_labels": list(self.family_labels),
             "success": self.success,
             "global_min_max_gap": self.global_min_max_gap,
-            "grid_min": {
-                "point": list(self.grid_min_point),
-                "gap": self.grid_min_gap,
-                "witness": self.grid_min_witness,
-            },
+            "grid_min": {key: self.worst_cell[key] for key in ("point", "gap", "witness")},
             "worst_cell": self.worst_cell,
             "refined_points": self.refined_count,
             # no point is searched past the family; the key stays for perfbench's certify workload
@@ -531,13 +511,6 @@ def _scan_cells(axes, P, areas, w0_area, threads):
     return bounds
 
 
-def _scan_grid(axes, P, areas, w0_area, threads):
-    """Best gaps, witnesses and cell bounds of one grid, by the three passes."""
-    best = _scan_points(axes, P, areas, w0_area, threads)
-    return (best, _scan_witnesses(axes, P, areas, w0_area, best, threads),
-            _scan_cells(axes, P, areas, w0_area, threads))
-
-
 def _cell_bounds(lo, hi, P, areas, w0_area):
     """``_corner_gaps`` (cells, n_planes) of the cells [lo, hi], their corners
     (cells, 16, 4) and the best gap at each corner (cells, 16)."""
@@ -673,13 +646,13 @@ def certify_no_contraction(
     best = _scan_points(axes, P, areas, w0_area, threads)
 
     flat_idx = int(np.argmin(best.ravel()))
-    grid_min_gap = float(best.ravel()[flat_idx])
+    min_gap = float(best.ravel()[flat_idx])
     ii = np.unravel_index(flat_idx, best.shape)
-    grid_min_point = tuple(float(axes[i]) for i in ii)
-    if grid_min_gap <= gap_threshold:
-        fail_at(grid_min_point, grid_min_gap, "grid minimum")
+    min_point = tuple(float(axes[i]) for i in ii)
+    if min_gap <= gap_threshold:
+        fail_at(min_point, min_gap, "grid minimum")
     witness = _scan_witnesses(axes, P, areas, w0_area, best, threads)
-    grid_min_witness = labels[int(witness[ii])]
+    min_witness = labels[int(witness[ii])]
     bounds = _scan_cells(axes, P, areas, w0_area, threads)
     bounds -= allowance
 
@@ -712,15 +685,12 @@ def certify_no_contraction(
         cell_values=best,
         cell_witness=witness,
         cell_bounds=bounds,
-        grid_min_gap=grid_min_gap,
-        grid_min_point=grid_min_point,
-        grid_min_witness=grid_min_witness,
         refined_count=sum(level_cells),
         worst_cell={
-            "point": list(grid_min_point),
-            "gap": grid_min_gap,
-            "witness": grid_min_witness,
-            "local_gap": grid_min_gap,
+            "point": list(min_point),
+            "gap": min_gap,
+            "witness": min_witness,
+            "local_gap": min_gap,
             "refined_point": [float(t) for t in 0.5 * (least_lo + least_hi)],
             "refined_halfwidth": float(0.5 * (least_hi[0] - least_lo[0])),
             "refined_gap": float(least_bound),

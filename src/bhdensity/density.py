@@ -34,7 +34,6 @@ from .geom import (
     _philox_streams,
     check_seed,
     gram_schmidt,
-    hodge_star,
     hodge_star_codim,
     plucker_defect,
 )
@@ -187,9 +186,9 @@ def bh_density_codim2(
 ) -> DensityValue:
     """Codimension-two density alpha_(n-2) |w|_2 / H^(n-2)(body cut by span w).
 
-    ``w`` is a simple (n-2)-vector: a Bivector when n = 4, otherwise the
-    lex-ordered coordinate array of degree n-2.  The spanning subspace is
-    the orthogonal complement of the plane of the Hodge-dual bivector, and
+    ``w`` is a simple (n-2)-vector: its lex-ordered coordinate array of
+    degree n-2, or, when n = 4, a Bivector.  The spanning subspace is the
+    orthogonal complement of the plane of the Hodge-dual bivector, and
     the section volume is the seeded randomly shifted quasi-Monte Carlo
     estimate of `mc_section_volume`, whose standard error (the spread of its
     64 shift means, 63 degrees of freedom) the density's stderr carries
@@ -204,12 +203,9 @@ def bh_density_codim2(
     if isinstance(w, Bivector):
         if w.n != n:
             raise DimensionMismatch("bivector and body dimensions differ")
-        coords = w.coords
-        dual = hodge_star(w)
-    else:
-        coords = np.asarray(w, dtype=float)
-        dual = hodge_star_codim(coords, n)
-    basis = _orthocomplement(plane_from_bivector(dual))
+        w = w.coords
+    coords = np.asarray(w, dtype=float)
+    basis = _orthocomplement(plane_from_bivector(hodge_star_codim(coords, n)))
     if mc_samples < _MC_SHIFTS:
         raise InsufficientSamples(
             f"{mc_samples} samples leave a shift without a point; at least {_MC_SHIFTS} are needed"

@@ -113,11 +113,6 @@ class Bivector:
             raise DimensionMismatch("bivectors live in different dimensions")
         return Bivector(self.coords + other.coords, self.n)
 
-    def __sub__(self, other: "Bivector") -> "Bivector":
-        if self.n != other.n:
-            raise DimensionMismatch("bivectors live in different dimensions")
-        return Bivector(self.coords - other.coords, self.n)
-
     def __mul__(self, t: float) -> "Bivector":
         return Bivector(self.coords * float(t), self.n)
 

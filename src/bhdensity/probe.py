@@ -148,7 +148,7 @@ def _phi_dim6(body: Body, seed: int, start: int, stop: int, samples: int):
         for i, row in zip(range(start, stop), triple)
     ]
     phis = np.array([[dv.value for dv in row] for row in values])
-    errs = [[dv.stderr or 0.0 for dv in row] for row in values]
+    errs = [[dv.stderr for dv in row] for row in values]
     bands = np.array([3.0 * math.sqrt(sum(e * e for e in row)) for row in errs])
     return phis, bands, triple
 

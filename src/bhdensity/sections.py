@@ -44,10 +44,6 @@ class Polygon2:
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
-    @property
-    def area(self) -> float:
-        return shoelace_area(self.vertices)
-
 
 @dataclass(frozen=True)
 class SectionReport:

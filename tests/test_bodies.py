@@ -127,17 +127,6 @@ def test_triangle_inequality_sampled(make):
         assert bh.minkowski(body, x + y) <= bh.minkowski(body, x) + bh.minkowski(body, y) + 1e-10
 
 
-def test_radius_bounds_examples(body_o, body_c, ball4):
-    r_in, r_out = bh.body_radius_bounds(ball4)
-    assert abs(r_in - 1.0) < 1e-9 and abs(r_out - 1.0) < 1e-9
-    r_in, r_out = bh.body_radius_bounds(body_o)
-    assert r_in <= 0.5 and r_out >= 1.0 - 1e-12 and 2.0 * r_out >= 1.0
-    assert abs(r_in - 0.25) < 1e-12
-    r_in_c, r_out_c = bh.body_radius_bounds(body_c)
-    assert abs(r_in_c - 0.25) < 1e-12
-    assert abs(r_out_c - 1.0) < 1e-12  # orthogonal image of the cross-polytope
-
-
 def test_body_json_round_trip(body_c):
     for body in (
         body_c,

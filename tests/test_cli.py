@@ -8,6 +8,7 @@ import pytest
 
 import bhdensity as bh
 from bhdensity import cli
+from bhdensity._jsonfmt import dumps
 from bhdensity.cli import main, parse_plane
 from conftest import V9_GAP, W0_AREA
 
@@ -26,6 +27,15 @@ def test_section_w0(tmp_path):
     assert len(data["vertices"]) == 8
     assert data["toolkit_version"] == bh.__version__
     assert data["config_echo"]["plane"] == "w0"
+
+
+def test_builtin_body_name_wins_over_a_path(tmp_path, monkeypatch):
+    # a directory named like a builtin body must not shadow it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rotated-cross4").mkdir()
+    code, data, _ = run_cli(["section", "--body", "rotated-cross4", "--plane", "w0"], tmp_path)
+    assert code == 0
+    assert abs(data["area"] - W0_AREA) < 1e-12
 
 
 def test_section_euclid_pi(tmp_path):
@@ -138,10 +148,18 @@ def test_thread_environment_variable_is_ignored(args, tmp_path, monkeypatch):
     assert reports[0] == reports[1] and reports[0][0] in (0, 2)
 
 
+def _nested_products(levels):
+    text = '{"kind": "euclidean", "n": 2}'
+    for _ in range(levels):
+        text = '{"kind": "product", "euclidean_dim": 1, "left": ' + text + "}"
+    return text
+
+
 @pytest.mark.parametrize(
     "content",
-    ['{"kind": "euclidean"}', "[1, 2]", None, '{"kind": "complex_lp", "p": 2, "k": 2.5}'],
-    ids=["missing-key", "not-an-object", "directory", "non-integral-k"],
+    ['{"kind": "euclidean"}', "[1, 2]", None, '{"kind": "complex_lp", "p": 2, "k": 2.5}',
+     _nested_products(5000)],
+    ids=["missing-key", "not-an-object", "directory", "non-integral-k", "deep-nesting"],
 )
 def test_malformed_body_file_is_error(content, tmp_path, capsys):
     body_file = tmp_path / "body.json"
@@ -321,13 +339,21 @@ def test_plane_mini_language():
 
 
 def test_body_json_file_ingestion(tmp_path):
-    from bhdensity._jsonfmt import dumps
-
     body_file = tmp_path / "body.json"
     body_file.write_text(dumps(bh.body_to_dict(bh.make_rotated_cross_polytope())))
     code, data, _ = run_cli(["section", "--body", str(body_file), "--plane", "w0"], tmp_path)
     assert code == 0
     assert abs(data["area"] - W0_AREA) < 1e-12
+
+
+def test_dumps_round_trips_escaped_strings():
+    # keys and values with every short escape, another control character, a quote,
+    # a backslash and a non-ASCII letter, which stays unescaped
+    text = 'a\bb\fc\nd\re\tf\x01g"h\\i\u00e9'
+    data = {text: [text, {"key " + text: text}], "plain": 1.5}
+    out = dumps(data)
+    assert json.loads(out) == data
+    assert "\u00e9" in out and "\\u00e9" not in out
 
 
 def test_lemmas_csv(tmp_path):

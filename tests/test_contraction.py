@@ -23,8 +23,9 @@ def test_named_plane_examples():
 
 
 def test_named_plane_invalid():
-    with pytest.raises(bh.InvalidId):
-        bh.named_plane(11)
+    for index in (0, 1.5, 11):
+        with pytest.raises(bh.InvalidId, match="plane index"):
+            bh.named_plane(index, 0.1)
     with pytest.raises(bh.InvalidId):
         bh.named_plane(2, 0.7)
     with pytest.raises(bh.InvalidId, match="epsilon"):
@@ -288,9 +289,10 @@ def test_scan_grid_witness_beyond_int16():
     areas = np.arange(1.0, n_planes + 1.0)
     axes = np.array([-1.0, 1.0])
     P = wedge_rows(U, V)
-    best, witness, bounds = contraction._scan_grid(axes, P, areas, 0.5, threads=1)
+    best = contraction._scan_points(axes, P, areas, 0.5, threads=1)
+    witness = contraction._scan_witnesses(axes, P, areas, 0.5, best, threads=1)
     assert np.all(witness == n_planes - 1)
-    assert best.shape == (2, 2, 2, 2) and bounds.shape == (1, 1, 1, 1)
+    assert best.shape == (2, 2, 2, 2)
 
 
 def test_scan_grid_matches_brute_force_with_duplicate_plane():
@@ -308,7 +310,9 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     axes = np.linspace(-1.5, 1.5, 5)
     w0_area = 1.2
     P = wedge_rows(U, V)
-    best, witness, bounds = contraction._scan_grid(axes, P, areas, w0_area, threads=2)
+    best = contraction._scan_points(axes, P, areas, w0_area, threads=2)
+    witness = contraction._scan_witnesses(axes, P, areas, w0_area, best, threads=2)
+    bounds = contraction._scan_cells(axes, P, areas, w0_area, threads=2)
     for idx in np.ndindex(best.shape):
         p = bh.ProjectionW0(*axes[list(idx)])
         gaps = [bh.area_factor(p, pl) * ar - w0_area for pl, ar in zip(planes, areas)]
@@ -349,7 +353,7 @@ def test_cell_bound_drops_plane_whose_factor_changes_sign():
     # span(e2, e3) has f = -a: |f| = 1 at every corner of [-1, 1]^4, but f = 0 at a = 0
     P = _coordinate_plane_table(1, 2)
     areas = np.array([10.0])
-    _, _, bounds = contraction._scan_grid(np.array([-1.0, 1.0]), P, areas, 1.0, threads=1)
+    bounds = contraction._scan_cells(np.array([-1.0, 1.0]), P, areas, 1.0, threads=1)
     assert bounds[0, 0, 0, 0] == -1.0
     lower, _, corner_best = contraction._cell_bounds(
         np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 1.0)

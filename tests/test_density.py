@@ -103,6 +103,15 @@ def test_codim2_seed_reproducibility():
     assert abs(a.value - c.value) <= 3.0 * math.hypot(a.stderr, c.stderr)
 
 
+def test_codim2_bivector_and_its_coordinates_agree_bitwise(body_c):
+    # both input kinds take one Hodge path; signed zeros must not change a bit
+    for coords in ([0.0, 1.0, 0.2, 0.5, 0.1, 0.0], [-0.0, 1.0, -0.0, 0.0, 0.0, -0.0],
+                   [-0.0, -0.3, 0.7, -0.0, 0.0, -0.0]):
+        from_bivector = bh.bh_density_codim2(body_c, bh.Bivector(coords, 4), 20_000, seed=3)
+        from_coords = bh.bh_density_codim2(body_c, np.array(coords), 20_000, seed=3)
+        assert from_bivector == from_coords
+
+
 def _e12_plus_e34(n):
     coords = np.zeros(n * (n - 1) // 2)
     coords[[0, 2 * n - 3]] = 1.0  # lex positions of 12 and 34
