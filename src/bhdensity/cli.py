@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 certificate failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -210,38 +211,20 @@ def cmd_certify(args):
 def cmd_lemmas(args):
     body = make_rotated_cross_polytope()
     eps_grid = _parse_floats(args.eps_grid)
-    families = {
-        "v1v2": 1,
-        "v3v4": 3,
-        "v5v6": 5,
-        "v7v8": 7,
-    }
-    rows = []
-    fitted = {}
-    for fam, idx in families.items():
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["family", "eps", "lower_bound", "exact_area", "fitted_c"])
+    for idx in (1, 3, 5, 7):
+        fam = f"v{idx}v{idx + 1}"
 
         def exact_area(eps, idx=idx):
             return cross_section(body, named_plane(idx, eps)).euclidean_area
 
         _, c_fit, _ = taylor_fit(exact_area, eps_grid)
-        fitted[fam] = c_fit
         for eps in eps_grid:
-            bound = lemma_lower_bound(fam, eps) if fam in ("v1v2", "v3v4") else ""
-            rows.append((fam, eps, bound, exact_area(eps), c_fit))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "eps", "lower_bound", "exact_area", "fitted_c"])
-    for fam, eps, bound, area, c_fit in rows:
-        writer.writerow(
-            [
-                fam,
-                format(eps, ".17g"),
-                format(bound, ".17g") if bound != "" else "",
-                format(area, ".17g"),
-                format(c_fit, ".17g"),
-            ]
-        )
+            bound = lemma_lower_bound(fam, eps) if fam in ("v1v2", "v3v4") else None
+            numbers = (eps, bound, exact_area(eps), c_fit)
+            writer.writerow([fam] + ["" if x is None else format(x, ".17g") for x in numbers])
     _write(args, buf.getvalue())
     return 0
 
@@ -270,7 +253,9 @@ def cmd_probe(args):
     return 0
 
 
+@functools.cache
 def make_parser() -> _Parser:
+    """The CLI parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="bhdensity", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

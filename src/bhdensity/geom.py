@@ -269,10 +269,12 @@ def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
 
     Gram-Schmidt applied to two standard Gaussian vectors; identical
     (seed, stream) always yields the identical plane.  Near-degenerate
-    draws are redrawn from the same stream.  Raises ValueError for a seed or
-    stream outside [0, 2**64).
+    draws are redrawn from the same stream.  Raises UnsupportedDimension for n
+    outside 2..8 and ValueError for a seed or stream outside [0, 2**64).
     """
     check_seed(seed, stream)
+    if not 2 <= n <= MAX_DIM:
+        raise UnsupportedDimension(f"dimension {n} outside 2..{MAX_DIM}")
     gen = _philox(seed, stream)
     while True:
         a = gen.standard_normal(n)

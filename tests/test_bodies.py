@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
-from bhdensity.bodies import minkowski_many
+from bhdensity.bodies import _complex_lp_gauge, minkowski_many
 from conftest import SQRT2
 
 
@@ -83,6 +83,21 @@ def test_complex_gauge_matches_hypot_reference(p):
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
     assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.25])
+def test_complex_gauge_bits_match_two_branch_formula(p, k):
+    # the earlier formula: a separate sqrt branch for p = 1 and a row sum
+    rng = np.random.default_rng(k)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (3000, 1))
+    X = rng.standard_normal((3000, 2 * k)) * scale
+    sq = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
+    if p == 1.0:
+        ref = np.sqrt(sq).sum(axis=1)
+    else:
+        ref = (sq ** (p / 2.0)).sum(axis=1) ** (1.0 / p)
+    assert _complex_lp_gauge(X, p).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])

@@ -309,6 +309,23 @@ def test_reports_bitwise_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_parser_is_shared_and_calls_do_not_leak_options(tmp_path):
+    assert cli.make_parser() is cli.make_parser()
+    first = ["section", "--body", "rotated-cross4", "--plane", "w0"]
+    calls = [
+        first,
+        ["section", "--body", "euclid-n", "--n", "4", "--plane", "w0", "--radial-n", "64"],
+        ["probe", "--body", "rotated-cross4", "--trials", "20"],
+        first,
+    ]
+    outs = []
+    for i, args in enumerate(calls):
+        code, _, out = run_cli(args, tmp_path, f"call{i}.json")
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[3] == outs[0]
+
+
 def test_deterministic_report_does_not_depend_on_out_path(tmp_path):
     args = ["probe", "--body", "rotated-cross4", "--trials", "50", "--seed", "3"]
     code, data, first = run_cli(args, tmp_path, "first.json")

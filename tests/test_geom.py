@@ -164,6 +164,15 @@ def test_random_plane_determinism_and_orthonormality():
         assert abs(np.dot(pl.u, pl.v)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 9])
+def test_random_plane_rejects_dimension_before_drawing(n):
+    # n = 0 and n = 1 never give a spanning pair, so the draw loop would not end
+    with pytest.raises(bh.UnsupportedDimension):
+        bh.random_plane(0, n)
+    with pytest.raises(bh.UnsupportedDimension):
+        bh.random_planes(0, n, 3)
+
+
 def test_random_plane_rotation_invariant_moment():
     vals = [bh.random_plane(5, 4, stream=i).u[0] ** 2 for i in range(10_000)]
     assert abs(np.mean(vals) - 0.25) < 0.02
