@@ -437,33 +437,6 @@ def _scan_points(axes, P, areas, w0_area, threads):
     return best
 
 
-def _scan_witnesses(axes, P, areas, w0_area, best, threads):
-    """First plane of ``P`` whose gap is within ``_WITNESS_TIE`` of ``best`` at
-    each grid point.  Each plane is tested only at the points still without a
-    witness; slabs of the first axis run on a thread pool."""
-    g = axes.size
-    witness = np.zeros(best.shape, dtype=np.int32)
-    B, C, D = _grid_axes(axes)
-
-    def do_slab(i0, i1):
-        A = axes[i0:i1, None, None, None]
-        wit, floor = witness[i0:i1].reshape(-1), best[i0:i1].ravel() - _WITNESS_TIE
-        # flat position in the slab, its (b, c, d) index in G and its (a, d) index in a H
-        pos = np.arange(floor.size)
-        bcd, ad = pos % g**3, pos // g**3 * g + pos % g
-        for i in range(areas.size):
-            G, aH = _factor_terms(A, B, C, D, P[i])
-            hit = np.abs(G.ravel()[bcd] + aH.ravel()[ad]) * areas[i] - w0_area >= floor
-            if hit.any():
-                wit[pos[hit]] = i
-                pos, bcd, ad, floor = pos[~hit], bcd[~hit], ad[~hit], floor[~hit]
-                if not pos.size:
-                    break
-
-    _on_slabs(g, threads, do_slab)
-    return witness
-
-
 def _corner_tables(G, aH):
     """Least G over each cell's four (b, c)-corners and least a H over its two a-corners."""
     G = np.minimum(G[:-1], G[1:])
@@ -472,7 +445,8 @@ def _corner_tables(G, aH):
 
 def _scan_cells(axes, P, areas, w0_area, threads):
     """Each cell's best ``_corner_gaps`` on the grid ``axes``^4, over the planes
-    of the Plucker table ``P``.
+    of the Plucker table ``P``, and its witness: the first plane to give it
+    with a positive least |f| (-1 if no plane keeps its sign on the cell).
 
     The least f over a cell's 16 corners is the lesser over its two d-corners
     of the least G over its (b, c)-corners plus the least a H over its
@@ -486,12 +460,13 @@ def _scan_cells(axes, P, areas, w0_area, threads):
     """
     g = axes.size
     bounds = np.zeros((g - 1,) * 4)
+    witness = np.full(bounds.shape, -1, dtype=np.int32)
     B, C, D = _grid_axes(axes)
 
     def do_slab(i0, i1):
         A = axes[i0:i1 + 1, None, None, None]
         k = _block_rows(g, i1 - i0)
-        cell, buf = bounds[i0:i1], np.empty((k, g - 1, g - 1, g))
+        cell, wit, buf = bounds[i0:i1], witness[i0:i1], np.empty((k, g - 1, g - 1, g))
         lows = np.empty((2, k) + (g - 1,) * 3)
         for i in range(areas.size):
             G, aH = _factor_terms(A, B, C, D, P[i])
@@ -504,11 +479,12 @@ def _scan_cells(axes, P, areas, w0_area, threads):
                     np.minimum(s[..., :-1], s[..., 1:], out=out)
                 low = np.maximum(low[0], low[1], out=low[0])
                 low *= areas[i]
+                np.copyto(wit[r:r + k], i, where=np.greater(low, c))
                 np.maximum(c, low, out=c)
         cell -= w0_area
 
     _on_slabs(g - 1, threads, do_slab)
-    return bounds
+    return bounds, witness
 
 
 def _cell_bounds(lo, hi, P, areas, w0_area):
@@ -572,12 +548,17 @@ def certify_no_contraction(
 
     The grid has grid_n points per axis on [-R, R]^4.  One pass finds each
     grid point's best gap (`_scan_points`).  Only if the least of them clears
-    the threshold do two more passes find each point's first witness
-    (`_scan_witnesses`) and each cell's best ``_corner_gaps`` (`_scan_cells`).
-    Cells that do not clear the threshold are bisected (``_bisect``) within
-    (grid_n - 1)^4 cells.  Outside the box some |parameter| exceeds R, so the
-    coordinate planes whose f is that parameter bound every gap by
-    min_k A_k * R - w0_area.
+    the threshold does a second pass find each cell's best ``_corner_gaps``
+    and its witness (`_scan_cells`).  Cells that do not clear the threshold
+    are bisected (``_bisect``) within (grid_n - 1)^4 cells.  Outside the box
+    some |parameter| exceeds R, so the coordinate planes whose f is that
+    parameter bound every gap by min_k A_k * R - w0_area.
+
+    A cell's witness is the first plane with the cell's largest positive
+    clamped value area * max(min f, -max f, 0), or -1 if none keeps its
+    sign; ``witness_counts`` counts the root cells that clear the threshold
+    by witness.  The grid minimum's witness is the first plane within
+    ``_WITNESS_TIE`` of the best gap there.
 
     Bounds are lowered by the allowance 64 eps (A S + w0_area), with A the
     largest section area used and S = 1 + 4R + 2R^2.  Unit planes have
@@ -597,7 +578,8 @@ def certify_no_contraction(
     proved.
 
     The grid passes run on ``threads`` threads (None or 0: one per CPU); the
-    result does not depend on the count.  Raises CertificateFailed when the
+    result does not depend on the count.  Raises ValueError when R is so
+    large that the allowance overflows, and CertificateFailed when the
     exterior bound, a grid point or a bisection corner does not clear the
     threshold, or the bisection stops.
     """
@@ -630,10 +612,14 @@ def certify_no_contraction(
     R = float(box_halfwidth)
     top_area = max(areas.max(), max(ext_areas))
     allowance = 64.0 * np.finfo(float).eps * (top_area * (1.0 + 4.0 * R + 2.0 * R * R) + w0_area)
+    if not np.isfinite(allowance):
+        raise ValueError(f"box halfwidth {R:g} overflows the rounding allowance")
+
+    def gaps_at(point):
+        return np.abs(_signed_factors(*point, P.T)) * areas - w0_area
 
     def fail_at(point, max_gap, reason):
-        gaps = np.abs(_signed_factors(*point, P.T)) * areas - w0_area
-        raise CertificateFailed(point, max_gap, dict(zip(labels, gaps.tolist())), reason)
+        raise CertificateFailed(point, max_gap, dict(zip(labels, gaps_at(point).tolist())), reason)
 
     # --- exterior, in closed form
     exterior_bound = min(ext_areas) * R - w0_area - allowance
@@ -641,7 +627,7 @@ def certify_no_contraction(
         fail_at(tuple(R * eye[int(np.argmin(ext_areas))]), exterior_bound,
                 "exterior bound min_k A_k * R - w0_area does not clear the threshold")
 
-    # --- grid points; witnesses and cell bounds once the grid minimum clears; bisection
+    # --- grid points; cell bounds and witnesses once the grid minimum clears; bisection
     axes = np.linspace(-R, R, grid_n)
     best = _scan_points(axes, P, areas, w0_area, threads)
 
@@ -651,9 +637,8 @@ def certify_no_contraction(
     min_point = tuple(float(axes[i]) for i in ii)
     if min_gap <= gap_threshold:
         fail_at(min_point, min_gap, "grid minimum")
-    witness = _scan_witnesses(axes, P, areas, w0_area, best, threads)
-    min_witness = labels[int(witness[ii])]
-    bounds = _scan_cells(axes, P, areas, w0_area, threads)
+    min_witness = labels[int(np.argmax(gaps_at(min_point) >= min_gap - _WITNESS_TIE))]
+    bounds, witness = _scan_cells(axes, P, areas, w0_area, threads)
     bounds -= allowance
 
     verified = bounds > gap_threshold
@@ -668,8 +653,8 @@ def certify_no_contraction(
     least_bound, least_lo, least_hi = min(least, bisected, key=lambda t: t[0])
     lower, _, _ = _cell_bounds(least_lo[None], least_hi[None], P, areas, w0_area)
 
-    witness_labels, witness_freq = np.unique(witness, return_counts=True)
-    counts = {labels[int(w)]: int(c) for w, c in zip(witness_labels, witness_freq)}
+    witness_labels, witness_freq = np.unique(witness[verified], return_counts=True)
+    counts = {labels[w]: int(c) for w, c in zip(witness_labels.tolist(), witness_freq) if w >= 0}
 
     return Certificate(
         body=body.label,

@@ -189,6 +189,25 @@ def test_certify_bad_box_or_plane_count_is_error(flag, word, capsys):
     assert err.startswith("error:") and word in err
 
 
+@pytest.mark.parametrize("box", ["1e154", "1e200"])
+def test_certify_box_overflowing_the_allowance_is_error(box, tmp_path, capsys):
+    code, data, _ = run_cli(
+        ["certify", "--body", "rotated-cross4", "--box", box, "--grid", "21", "--extra-planes", "0"],
+        tmp_path,
+    )
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: box halfwidth")
+
+
+def test_certify_huge_box_fails_with_a_finite_report(tmp_path):
+    code, data, _ = run_cli(
+        ["certify", "--body", "rotated-cross4", "--box", "1e100", "--grid", "21", "--extra-planes", "0"],
+        tmp_path,
+    )
+    assert code == 2
+    assert data["success"] is False and data["reason"].startswith("exterior bound")
+
+
 def test_threads_only_on_certify(capsys):
     assert main(["section", "--body", "rotated-cross4", "--plane", "w0", "--threads", "2"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")

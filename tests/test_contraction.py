@@ -236,6 +236,29 @@ def test_certificate_small_run_and_determinism(body_c):
     assert cert1.worst_cell["witness"] == "v9"
 
 
+def test_grid_minimum_witness_matches_brute_force(body_c):
+    # the first family plane within _WITNESS_TIE of the best gap at the grid minimum
+    cert = bh.certify_no_contraction(
+        body_c, box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1
+    )
+    _, planes = contraction._build_family(body_c, (0.05, 0.1), 8, 1)
+    p = bh.ProjectionW0(*cert.worst_cell["point"])
+    gaps = [bh.area_factor(p, pl) * ar - cert.w0_area for pl, ar in zip(planes, cert.plane_areas)]
+    top = max(gaps)
+    first = next(i for i, g in enumerate(gaps) if g >= top - contraction._WITNESS_TIE)
+    assert cert.worst_cell["witness"] == cert.family_labels[first]
+
+
+def test_witness_counts_cover_the_root_cells_that_clear(body_c):
+    cert = bh.certify_no_contraction(
+        body_c, box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1
+    )
+    cells = cert.box["cells_per_level"]
+    assert sum(cert.witness_counts.values()) == cells[0] - cells[1] // 16
+    assert set(cert.witness_counts) <= set(cert.family_labels)
+    assert cert.cell_witness.shape == cert.cell_bounds.shape
+
+
 def test_certificate_thread_count_does_not_change_cells(body_c):
     kwargs = dict(box_halfwidth=2.0, grid_n=21, eps_set=(0.1,), extra_planes=4, seed=2)
     one = bh.certify_no_contraction(body_c, threads=1, **kwargs)
@@ -281,6 +304,12 @@ def test_certificate_parameter_validation(body_c):
         bh.certify_no_contraction(body_c, extra_planes=-3)
 
 
+@pytest.mark.parametrize("box", [1e154, 1e200])
+def test_box_overflowing_the_allowance_is_refused(body_c, box):
+    with pytest.raises(ValueError, match="box halfwidth"):
+        bh.certify_no_contraction(body_c, box_halfwidth=box, grid_n=21, extra_planes=0)
+
+
 def test_scan_grid_witness_beyond_int16():
     # 32,769 copies of w0 with growing areas: the last plane is every cell's witness
     n_planes = 32_769
@@ -290,8 +319,8 @@ def test_scan_grid_witness_beyond_int16():
     axes = np.array([-1.0, 1.0])
     P = wedge_rows(U, V)
     best = contraction._scan_points(axes, P, areas, 0.5, threads=1)
-    witness = contraction._scan_witnesses(axes, P, areas, 0.5, best, threads=1)
-    assert np.all(witness == n_planes - 1)
+    _, witness = contraction._scan_cells(axes, P, areas, 0.5, threads=1)
+    assert witness.shape == (1, 1, 1, 1) and witness[0, 0, 0, 0] == n_planes - 1
     assert best.shape == (2, 2, 2, 2)
 
 
@@ -311,26 +340,26 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     w0_area = 1.2
     P = wedge_rows(U, V)
     best = contraction._scan_points(axes, P, areas, w0_area, threads=2)
-    witness = contraction._scan_witnesses(axes, P, areas, w0_area, best, threads=2)
-    bounds = contraction._scan_cells(axes, P, areas, w0_area, threads=2)
+    bounds, witness = contraction._scan_cells(axes, P, areas, w0_area, threads=2)
     for idx in np.ndindex(best.shape):
         p = bh.ProjectionW0(*axes[list(idx)])
         gaps = [bh.area_factor(p, pl) * ar - w0_area for pl, ar in zip(planes, areas)]
-        top = max(gaps)
-        first = next(i for i, g in enumerate(gaps) if g >= top - contraction._WITNESS_TIE)
-        assert best[idx] == top
-        assert witness[idx] == first
-    assert np.any(witness == 0)
-    assert not np.any(witness == 3)
-    # each cell bound is the best plane's least corner |f|, from planes whose corners agree in sign
+        assert best[idx] == max(gaps)
+    # each cell bound is the best plane's least corner |f|, from planes whose corners agree in
+    # sign; the witness is the first plane with the largest positive such value, else -1
     for cell in np.ndindex(bounds.shape):
         corners = [axes[[i + k for i, k in zip(cell, bits)]] for bits in np.ndindex(2, 2, 2, 2)]
-        per_plane = []
+        per_plane, clamped = [], []
         for row, ar in zip(P, areas):
             f = np.array([contraction._signed_factors(*pt, row) for pt in corners])
             same_sign = (f > 0).all() or (f < 0).all()
-            per_plane.append(ar * np.abs(f).min() - w0_area if same_sign else -w0_area)
+            clamped.append(ar * np.abs(f).min() if same_sign else 0.0)
+            per_plane.append(clamped[-1] - w0_area)
         assert bounds[cell] == max(per_plane)
+        top = max(clamped)
+        assert witness[cell] == (clamped.index(top) if top > 0.0 else -1)
+    assert np.any(witness == 0)
+    assert not np.any(witness == 3)
 
 
 def test_plucker_factor_matches_projected_wedge():
@@ -353,8 +382,9 @@ def test_cell_bound_drops_plane_whose_factor_changes_sign():
     # span(e2, e3) has f = -a: |f| = 1 at every corner of [-1, 1]^4, but f = 0 at a = 0
     P = _coordinate_plane_table(1, 2)
     areas = np.array([10.0])
-    bounds = contraction._scan_cells(np.array([-1.0, 1.0]), P, areas, 1.0, threads=1)
+    bounds, witness = contraction._scan_cells(np.array([-1.0, 1.0]), P, areas, 1.0, threads=1)
     assert bounds[0, 0, 0, 0] == -1.0
+    assert witness[0, 0, 0, 0] == -1
     lower, _, corner_best = contraction._cell_bounds(
         np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 1.0)
     assert lower[0, 0] == -1.0 and corner_best.min() == 9.0
@@ -452,10 +482,11 @@ def _small_family():
 
 
 @pytest.mark.parametrize("block", [1 << 16, 125], ids=["one-block", "row-blocks"])
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
     # the grid passes add tables of G and a H; every point and cell must carry the bits of
-    # _signed_factors at its corners, before any allowance is subtracted
+    # _signed_factors at its corners, before any allowance is subtracted; 3 threads split
+    # the 4 cell rows unevenly
     monkeypatch.setattr(contraction, "_BLOCK", block)
     P, areas = _small_family()
     axes, w0_area = np.linspace(-4.0, 4.0, 5), 1.2
@@ -463,17 +494,20 @@ def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
     for idx in np.ndindex(best.shape):
         gaps = np.abs(contraction._signed_factors(*axes[list(idx)], P.T)) * areas - w0_area
         assert best[idx] == gaps.max()
-    bounds = contraction._scan_cells(axes, P, areas, w0_area, threads)
+    bounds, witness = contraction._scan_cells(axes, P, areas, w0_area, threads)
     idx = np.array(list(np.ndindex(bounds.shape)))
     lower, _, _ = contraction._cell_bounds(axes[idx], axes[idx + 1], P, areas, w0_area)
     assert np.array_equal(lower.max(axis=1), bounds[tuple(idx.T)])
+    # with w0_area = 0 the corner kernel gives each plane's clamped value itself
+    clamped, _, _ = contraction._cell_bounds(axes[idx], axes[idx + 1], P, areas, 0.0)
+    first = np.where(clamped.max(axis=1) > 0.0, clamped.argmax(axis=1), -1)
+    assert np.array_equal(first, witness[tuple(idx.T)])
 
 
 def test_euclidean_control_fails_before_witness_and_cells_passes(ball4, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("pass ran after a failing grid minimum")
 
-    monkeypatch.setattr(contraction, "_scan_witnesses", must_not_run)
     monkeypatch.setattr(contraction, "_scan_cells", must_not_run)
     with pytest.raises(bh.CertificateFailed) as err:
         bh.certify_no_contraction(
