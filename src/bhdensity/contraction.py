@@ -11,10 +11,11 @@ lambda(V) = |f|, where in the Plucker coordinates p_ij of V
 it contracts the normed Hausdorff 2-measure only if
 lambda(V) * H^2(C cut V) <= H^2(C cut W0) for every plane V.  f has degree
 at most one in each parameter, so over a box of parameters it is extreme at
-the box's corners.  The certificate uses that to bound the best witness gap
-from below on every cell of a parameter grid, bisecting the cells that do
-not clear the threshold, and bounds it outside the grid's box in closed
-form through the four coordinate planes whose f is -a, -b, c or d.
+the box's corners.  After one pass over the points of a parameter grid, the
+certificate uses that to bound the best witness gap from below on cells
+bisected from the parameter box, splitting the cells that do not clear the
+threshold, and bounds it outside the box in closed form through the four
+coordinate planes whose f is -a, -b, c or d.
 """
 
 import itertools
@@ -117,7 +118,7 @@ def _signed_factors(a, b, c, d, p):
     span(u, v), the `wedge_rows` of u and v, along its first axis (six numbers
     or a (6, n_planes) table); the parameters broadcast against them.  f is
     multilinear and is evaluated split as G(b, c, d) + a H(d), the sum of
-    `_factor_terms`: the grid pass adds tables of the two terms, and every
+    `_factor_terms`: the points pass adds tables of the two terms, and every
     other caller gets the same bits from the same order.
     """
     g, ah = _factor_terms(a, b, c, d, p)
@@ -272,8 +273,10 @@ class Certificate:
     plane_areas: np.ndarray
     w0_area: float
     cell_values: np.ndarray = field(repr=False)
-    cell_witness: np.ndarray = field(repr=False)
+    cell_lo: np.ndarray = field(repr=False)
+    cell_hi: np.ndarray = field(repr=False)
     cell_bounds: np.ndarray = field(repr=False)
+    cell_witness: np.ndarray = field(repr=False)
     refined_count: int = 0
     worst_cell: dict = field(default_factory=dict)
     global_min_max_gap: float = 0.0
@@ -304,12 +307,6 @@ class Certificate:
             "box": self.box,
             "exterior": self.exterior,
             "witness_counts": self.witness_counts,
-            "cells": {
-                "count": int(self.cell_values.size),
-                "min_gap": float(self.cell_values.min()),
-                "max_gap": float(self.cell_values.max()),
-                "all_positive": bool((self.cell_values > 0.0).all()),
-            },
         }
         if not deterministic:
             report["runtime_seconds"] = self.runtime_seconds
@@ -370,7 +367,7 @@ def _plane_tables(body: Body, planes):
 
 
 _WITNESS_TIE = 1e-12
-_BLOCK = 1 << 16  # grid points per block of the grid passes
+_BLOCK = 1 << 16  # grid points per block of the points pass
 
 # corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is set
 _CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
@@ -395,33 +392,24 @@ def _on_slabs(rows, threads, do_slab):
             list(pool.map(do_slab, edges[:-1], edges[1:]))
 
 
-def _grid_axes(axes):
-    """The grid axes shaped so `_factor_terms` gives a (b, c, d) table and an (a, d) table."""
-    return axes[:, None, None], axes[:, None], axes
-
-
-def _block_rows(g, rows):
-    """Rows per block of a slab of ``rows`` rows, so a block's temporaries stay in cache."""
-    return min(rows, max(1, _BLOCK // g**3))
-
-
 def _scan_points(axes, P, areas, w0_area, threads):
     """Best gap at each point of the grid ``axes``^4 over the planes of the
     Plucker table ``P``.
 
-    Per plane and block the factors are one broadcast add of the G and a H
-    tables.  |f| * area >= 0 is maximized over the planes, starting from 0,
-    and w0_area is subtracted once after that, which is exact, since rounding
-    is monotone.  Slabs of the first axis run on a thread pool and write only
-    their own rows.
+    Per plane and block the factors are one broadcast add of the G table over
+    (b, c, d) and the a H table over (a, d).  |f| * area >= 0 is maximized
+    over the planes, starting from 0, and w0_area is subtracted once after
+    that, which is exact, since rounding is monotone.  Slabs of the first axis
+    run on a thread pool and write only their own rows, in blocks of rows
+    small enough that a block's temporaries stay in cache.
     """
     g = axes.size
     best = np.zeros((g,) * 4)
-    B, C, D = _grid_axes(axes)
+    B, C, D = axes[:, None, None], axes[:, None], axes
 
     def do_slab(i0, i1):
         A = axes[i0:i1, None, None, None]
-        k = _block_rows(g, i1 - i0)
+        k = min(i1 - i0, max(1, _BLOCK // g**3))
         top, buf = best[i0:i1], np.empty((k, g, g, g))
         for i in range(areas.size):
             G, aH = _factor_terms(A, B, C, D, P[i])
@@ -437,56 +425,6 @@ def _scan_points(axes, P, areas, w0_area, threads):
     return best
 
 
-def _corner_tables(G, aH):
-    """Least G over each cell's four (b, c)-corners and least a H over its two a-corners."""
-    G = np.minimum(G[:-1], G[1:])
-    return np.minimum(G[:, :-1], G[:, 1:]), np.minimum(aH[:-1], aH[1:])
-
-
-def _scan_cells(axes, P, areas, w0_area, threads):
-    """Each cell's best ``_corner_gaps`` on the grid ``axes``^4, over the planes
-    of the Plucker table ``P``, and its witness: the first plane to give it
-    with a positive least |f| (-1 if no plane keeps its sign on the cell).
-
-    The least f over a cell's 16 corners is the lesser over its two d-corners
-    of the least G over its (b, c)-corners plus the least a H over its
-    a-corners: rounding is monotone in each addend, so that is bitwise the
-    least of the 16 computed corner values.  The least -f is found the same
-    way, and a plane's least |f|, if f keeps its sign, is the larger of the
-    two.  The maximum over the planes starts at 0, which is the 0 clamp, and
-    w0_area is subtracted once after it: that is exact for the same reason.
-    Slabs of cells along the first axis run on a thread pool; a slab reads
-    the grid row after its last cell.
-    """
-    g = axes.size
-    bounds = np.zeros((g - 1,) * 4)
-    witness = np.full(bounds.shape, -1, dtype=np.int32)
-    B, C, D = _grid_axes(axes)
-
-    def do_slab(i0, i1):
-        A = axes[i0:i1 + 1, None, None, None]
-        k = _block_rows(g, i1 - i0)
-        cell, wit, buf = bounds[i0:i1], witness[i0:i1], np.empty((k, g - 1, g - 1, g))
-        lows = np.empty((2, k) + (g - 1,) * 3)
-        for i in range(areas.size):
-            G, aH = _factor_terms(A, B, C, D, P[i])
-            tables = (_corner_tables(G, aH), _corner_tables(-G, -aH))
-            for r in range(0, i1 - i0, k):
-                c = cell[r:r + k]
-                low = lows[:, :len(c)]
-                for (Gt, at), out in zip(tables, low):
-                    s = np.add(Gt, at[r:r + k], out=buf[:len(c)])
-                    np.minimum(s[..., :-1], s[..., 1:], out=out)
-                low = np.maximum(low[0], low[1], out=low[0])
-                low *= areas[i]
-                np.copyto(wit[r:r + k], i, where=np.greater(low, c))
-                np.maximum(c, low, out=c)
-        cell -= w0_area
-
-    _on_slabs(g - 1, threads, do_slab)
-    return bounds, witness
-
-
 def _cell_bounds(lo, hi, P, areas, w0_area):
     """``_corner_gaps`` (cells, n_planes) of the cells [lo, hi], their corners
     (cells, 16, 4) and the best gap at each corner (cells, 16)."""
@@ -496,17 +434,36 @@ def _cell_bounds(lo, hi, P, areas, w0_area):
     return lower, corners, (np.abs(f) * areas - w0_area).max(axis=2)
 
 
-def _bisect(lo, hi, bounds, P, areas, w0_area, threshold, allowance, budget):
-    """Split the open cells [lo, hi] (bounds ``bounds``) into 16 until all clear ``threshold``.
+def _bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
+    """Split the cells [lo, hi] into 16 until all clear ``threshold``.
 
-    Returns the cell count per level and the least cleared (bound, lo, hi).
+    Each level bounds its cells with `_cell_bounds`, keeps the cells that
+    clear as verified and splits the others.  Returns the cell count per
+    level and the verified cells (lo, hi, bound, witness), level by level; a
+    cell's witness is the first plane of largest ``_corner_gaps`` on it.
     Raises CertificateFailed, without a gap table, at a corner whose best gap
     does not clear the threshold, or at the open cell of least bound before
     more than ``budget`` cells or a split below float resolution.
     """
-    counts, least = [], (np.inf, None, None)
+    counts, verified_cells = [], []
     chunk = max(1, (1 << 20) // (16 * areas.size))
-    while lo.shape[0]:
+    while True:
+        bounds = np.empty(lo.shape[0])
+        witness = np.empty(lo.shape[0], dtype=np.intp)
+        for s in range(0, lo.shape[0], chunk):
+            lower, corners, corner_best = _cell_bounds(lo[s:s + chunk], hi[s:s + chunk],
+                                                       P, areas, w0_area)
+            if corner_best.min() <= threshold:
+                c, k = np.unravel_index(int(np.argmin(corner_best)), corner_best.shape)
+                raise CertificateFailed(corners[c, k], corner_best[c, k], reason="bisection corner")
+            witness[s:s + chunk] = lower.argmax(axis=1)
+            bounds[s:s + chunk] = lower.max(axis=1) - allowance
+        counts.append(int(lo.shape[0]))
+        verified = bounds > threshold
+        verified_cells.append((lo[verified], hi[verified], bounds[verified], witness[verified]))
+        lo, hi, bounds = lo[~verified], hi[~verified], bounds[~verified]
+        if not lo.shape[0]:
+            return counts, [np.concatenate(part) for part in zip(*verified_cells)]
         worst = int(np.argmin(bounds))
         centre, mid = 0.5 * (lo[worst] + hi[worst]), 0.5 * (lo + hi)
         if np.any((mid <= lo) | (mid >= hi)):
@@ -517,21 +474,6 @@ def _bisect(lo, hi, bounds, P, areas, w0_area, threshold, allowance, budget):
                 f"bisection budget of {budget} cells exhausted with {lo.shape[0]} cells open"))
         lo, hi = (np.where(_CORNERS, mid[:, None], lo[:, None]).reshape(-1, 4),
                   np.where(_CORNERS, hi[:, None], mid[:, None]).reshape(-1, 4))
-        bounds = np.empty(lo.shape[0])
-        for s in range(0, lo.shape[0], chunk):
-            lower, corners, corner_best = _cell_bounds(lo[s:s + chunk], hi[s:s + chunk],
-                                                       P, areas, w0_area)
-            if corner_best.min() <= threshold:
-                c, k = np.unravel_index(int(np.argmin(corner_best)), corner_best.shape)
-                raise CertificateFailed(corners[c, k], corner_best[c, k], reason="bisection corner")
-            bounds[s:s + chunk] = lower.max(axis=1) - allowance
-        counts.append(int(lo.shape[0]))
-        verified = bounds > threshold
-        j = int(np.argmin(np.where(verified, bounds, np.inf)))
-        if verified[j] and bounds[j] < least[0]:
-            least = (float(bounds[j]), lo[j], hi[j])
-        lo, hi, bounds = lo[~verified], hi[~verified], bounds[~verified]
-    return counts, least
 
 
 def certify_no_contraction(
@@ -546,19 +488,19 @@ def certify_no_contraction(
 ) -> Certificate:
     """Certify a witness gap above ``gap_threshold`` at every projection (a, b, c, d).
 
-    The grid has grid_n points per axis on [-R, R]^4.  One pass finds each
-    grid point's best gap (`_scan_points`).  Only if the least of them clears
-    the threshold does a second pass find each cell's best ``_corner_gaps``
-    and its witness (`_scan_cells`).  Cells that do not clear the threshold
-    are bisected (``_bisect``) within (grid_n - 1)^4 cells.  Outside the box
-    some |parameter| exceeds R, so the coordinate planes whose f is that
-    parameter bound every gap by min_k A_k * R - w0_area.
+    One pass finds the best gap at each point of the grid with grid_n points
+    per axis on [-R, R]^4 (`_scan_points`).  Only if the least of them clears
+    the threshold is the box [-R, R]^4 bisected from a single cell
+    (``_bisect``), within (grid_n - 1)^4 cells, until every cell's best
+    ``_corner_gaps`` clears it.  Outside the box some |parameter| exceeds R,
+    so the coordinate planes whose f is that parameter bound every gap by
+    min_k A_k * R - w0_area.
 
-    A cell's witness is the first plane with the cell's largest positive
-    clamped value area * max(min f, -max f, 0), or -1 if none keeps its
-    sign; ``witness_counts`` counts the root cells that clear the threshold
-    by witness.  The grid minimum's witness is the first plane within
-    ``_WITNESS_TIE`` of the best gap there.
+    A verified cell's witness is the first plane with the cell's largest
+    ``_corner_gaps``; ``witness_counts`` counts the verified cells by
+    witness, and the least verified cell, the first in level order, is the
+    worst cell's refined cell.  The grid minimum's witness is the first
+    plane within ``_WITNESS_TIE`` of the best gap there.
 
     Bounds are lowered by the allowance 64 eps (A S + w0_area), with A the
     largest section area used and S = 1 + 4R + 2R^2.  Unit planes have
@@ -577,7 +519,7 @@ def certify_no_contraction(
     all the error the section areas may carry: they are trusted to it, not
     proved.
 
-    The grid passes run on ``threads`` threads (None or 0: one per CPU); the
+    The points pass runs on ``threads`` threads (None or 0: one per CPU); the
     result does not depend on the count.  Raises ValueError when R is so
     large that the allowance overflows, and CertificateFailed when the
     exterior bound, a grid point or a bisection corner does not clear the
@@ -627,7 +569,7 @@ def certify_no_contraction(
         fail_at(tuple(R * eye[int(np.argmin(ext_areas))]), exterior_bound,
                 "exterior bound min_k A_k * R - w0_area does not clear the threshold")
 
-    # --- grid points; cell bounds and witnesses once the grid minimum clears; bisection
+    # --- grid points; bisection of the box once the grid minimum clears
     axes = np.linspace(-R, R, grid_n)
     best = _scan_points(axes, P, areas, w0_area, threads)
 
@@ -638,23 +580,16 @@ def certify_no_contraction(
     if min_gap <= gap_threshold:
         fail_at(min_point, min_gap, "grid minimum")
     min_witness = labels[int(np.argmax(gaps_at(min_point) >= min_gap - _WITNESS_TIE))]
-    bounds, witness = _scan_cells(axes, P, areas, w0_area, threads)
-    bounds -= allowance
-
-    verified = bounds > gap_threshold
-    jj = np.unravel_index(int(np.argmin(np.where(verified, bounds, np.inf))), bounds.shape)
-    least = (bounds[jj] if verified[jj] else np.inf, axes[list(jj)], axes[[i + 1 for i in jj]])
-    open_idx = np.argwhere(~verified)
     try:
-        level_cells, bisected = _bisect(axes[open_idx], axes[open_idx + 1], bounds[~verified],
-                                        P, areas, w0_area, gap_threshold, allowance, bounds.size)
+        level_cells, (cell_lo, cell_hi, bounds, witness) = _bisect(
+            np.full((1, 4), -R), np.full((1, 4), R), P, areas, w0_area, gap_threshold, allowance,
+            (grid_n - 1) ** 4)
     except CertificateFailed as err:
         fail_at(err.point, err.max_gap, err.reason)
-    least_bound, least_lo, least_hi = min(least, bisected, key=lambda t: t[0])
-    lower, _, _ = _cell_bounds(least_lo[None], least_hi[None], P, areas, w0_area)
+    j = int(np.argmin(bounds))
 
-    witness_labels, witness_freq = np.unique(witness[verified], return_counts=True)
-    counts = {labels[w]: int(c) for w, c in zip(witness_labels.tolist(), witness_freq) if w >= 0}
+    witness_labels, witness_freq = np.unique(witness, return_counts=True)
+    counts = {labels[w]: int(c) for w, c in zip(witness_labels.tolist(), witness_freq)}
 
     return Certificate(
         body=body.label,
@@ -668,21 +603,23 @@ def certify_no_contraction(
         plane_areas=areas,
         w0_area=float(w0_area),
         cell_values=best,
-        cell_witness=witness,
+        cell_lo=cell_lo,
+        cell_hi=cell_hi,
         cell_bounds=bounds,
-        refined_count=sum(level_cells),
+        cell_witness=witness,
+        refined_count=sum(level_cells[1:]),
         worst_cell={
             "point": list(min_point),
             "gap": min_gap,
             "witness": min_witness,
             "local_gap": min_gap,
-            "refined_point": [float(t) for t in 0.5 * (least_lo + least_hi)],
-            "refined_halfwidth": float(0.5 * (least_hi[0] - least_lo[0])),
-            "refined_gap": float(least_bound),
-            "refined_witness": labels[int(np.argmax(lower[0]))],
+            "refined_point": [float(t) for t in 0.5 * (cell_lo[j] + cell_hi[j])],
+            "refined_halfwidth": float(0.5 * (cell_hi[j, 0] - cell_lo[j, 0])),
+            "refined_gap": float(bounds[j]),
+            "refined_witness": labels[int(witness[j])],
         },
-        global_min_max_gap=float(least_bound),
-        box={"guarantee": "verified", "cells_per_level": [int(bounds.size)] + level_cells,
+        global_min_max_gap=float(bounds[j]),
+        box={"guarantee": "verified", "cells_per_level": level_cells,
              "allowance": float(allowance)},
         exterior={"guarantee": "verified", "areas": dict(zip("abcd", ext_areas)), "R": R,
                   "bound": float(exterior_bound)},

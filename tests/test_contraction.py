@@ -253,10 +253,38 @@ def test_witness_counts_cover_the_root_cells_that_clear(body_c):
     cert = bh.certify_no_contraction(
         body_c, box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1
     )
-    cells = cert.box["cells_per_level"]
-    assert sum(cert.witness_counts.values()) == cells[0] - cells[1] // 16
+    n = len(cert.cell_bounds)
+    assert sum(cert.witness_counts.values()) == n
     assert set(cert.witness_counts) <= set(cert.family_labels)
-    assert cert.cell_witness.shape == cert.cell_bounds.shape
+    assert cert.cell_witness.shape == cert.cell_bounds.shape == (n,)
+    assert cert.cell_lo.shape == cert.cell_hi.shape == (n, 4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, dict(box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1),
+], ids=["defaults", "box2-grid21"])
+def test_verified_cells_tile_the_box(body_c, kwargs):
+    cert = bh.certify_no_contraction(body_c, **kwargs)
+    lo, hi, R = cert.cell_lo, cert.cell_hi, cert.box_halfwidth
+    assert (lo >= -R).all() and (hi <= R).all() and (lo < hi).all()
+    # the cells are dyadic, so their volumes and the sum of them are exact in floats
+    assert np.prod(hi - lo, axis=1).sum() == (2.0 * R) ** 4
+    for n in range(len(lo)):
+        overlaps = ((lo[n] < hi) & (lo < hi[n])).all(axis=1)
+        assert np.flatnonzero(overlaps).tolist() == [n]
+    assert (cert.cell_bounds > cert.gap_threshold).all()
+    assert cert.global_min_max_gap == cert.cell_bounds.min()
+
+
+def test_grid_size_does_not_move_the_verified_partition(body_c):
+    # the points grid sizes only the grid minimum and the bisection budget
+    kwargs = dict(box_halfwidth=4.0, eps_set=(0.02, 0.05, 0.1), extra_planes=64)
+    g21, g33 = (bh.certify_no_contraction(body_c, grid_n=g, **kwargs) for g in (21, 33))
+    assert g21.grid_n == 21 and g33.grid_n == 33
+    assert g21.box == g33.box and g21.witness_counts == g33.witness_counts
+    assert g21.global_min_max_gap == g33.global_min_max_gap
+    for key in ("refined_point", "refined_halfwidth", "refined_gap", "refined_witness"):
+        assert g21.worst_cell[key] == g33.worst_cell[key]
 
 
 def test_certificate_thread_count_does_not_change_cells(body_c):
@@ -319,8 +347,9 @@ def test_scan_grid_witness_beyond_int16():
     axes = np.array([-1.0, 1.0])
     P = wedge_rows(U, V)
     best = contraction._scan_points(axes, P, areas, 0.5, threads=1)
-    _, witness = contraction._scan_cells(axes, P, areas, 0.5, threads=1)
-    assert witness.shape == (1, 1, 1, 1) and witness[0, 0, 0, 0] == n_planes - 1
+    counts, (_, _, _, witness) = contraction._bisect(
+        np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 0.5, 0.0, 0.0, 1)
+    assert counts == [1] and witness.tolist() == [n_planes - 1]
     assert best.shape == (2, 2, 2, 2)
 
 
@@ -340,24 +369,24 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     w0_area = 1.2
     P = wedge_rows(U, V)
     best = contraction._scan_points(axes, P, areas, w0_area, threads=2)
-    bounds, witness = contraction._scan_cells(axes, P, areas, w0_area, threads=2)
     for idx in np.ndindex(best.shape):
         p = bh.ProjectionW0(*axes[list(idx)])
         gaps = [bh.area_factor(p, pl) * ar - w0_area for pl, ar in zip(planes, areas)]
         assert best[idx] == max(gaps)
     # each cell bound is the best plane's least corner |f|, from planes whose corners agree in
-    # sign; the witness is the first plane with the largest positive such value, else -1
-    for cell in np.ndindex(bounds.shape):
+    # sign, less w0_area; the witness is the first plane with the largest such value
+    cells = np.array(list(np.ndindex(4, 4, 4, 4)))
+    lower, _, _ = contraction._cell_bounds(axes[cells], axes[cells + 1], P, areas, w0_area)
+    bounds, witness = lower.max(axis=1), lower.argmax(axis=1)
+    for n, cell in enumerate(cells):
         corners = [axes[[i + k for i, k in zip(cell, bits)]] for bits in np.ndindex(2, 2, 2, 2)]
-        per_plane, clamped = [], []
+        per_plane = []
         for row, ar in zip(P, areas):
             f = np.array([contraction._signed_factors(*pt, row) for pt in corners])
             same_sign = (f > 0).all() or (f < 0).all()
-            clamped.append(ar * np.abs(f).min() if same_sign else 0.0)
-            per_plane.append(clamped[-1] - w0_area)
-        assert bounds[cell] == max(per_plane)
-        top = max(clamped)
-        assert witness[cell] == (clamped.index(top) if top > 0.0 else -1)
+            per_plane.append((ar * np.abs(f).min() if same_sign else 0.0) - w0_area)
+        assert bounds[n] == max(per_plane)
+        assert witness[n] == per_plane.index(max(per_plane))
     assert np.any(witness == 0)
     assert not np.any(witness == 3)
 
@@ -382,9 +411,6 @@ def test_cell_bound_drops_plane_whose_factor_changes_sign():
     # span(e2, e3) has f = -a: |f| = 1 at every corner of [-1, 1]^4, but f = 0 at a = 0
     P = _coordinate_plane_table(1, 2)
     areas = np.array([10.0])
-    bounds, witness = contraction._scan_cells(np.array([-1.0, 1.0]), P, areas, 1.0, threads=1)
-    assert bounds[0, 0, 0, 0] == -1.0
-    assert witness[0, 0, 0, 0] == -1
     lower, _, corner_best = contraction._cell_bounds(
         np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 1.0)
     assert lower[0, 0] == -1.0 and corner_best.min() == 9.0
@@ -401,11 +427,12 @@ def test_bisection_budget_and_float_resolution_stop():
     areas = np.array([1.0])
     lo, hi = np.array([[-1.0, 0.0, 0.0, 0.0]]), np.array([[2.0, 1.0, 1.0, 1.0]])
     with pytest.raises(bh.CertificateFailed) as err:
-        contraction._bisect(lo, hi, np.array([-1.0]), P, areas, 1.0, -1.0 + 1e-9, 0.0, 4096)
+        contraction._bisect(lo, hi, P, areas, 1.0, -1.0 + 1e-9, 0.0, 4096)
     assert "budget of 4096 cells" in err.value.reason
-    tiny_hi = np.array([[np.nextafter(-1.0, 0.0), 1.0, 1.0, 1.0]])
+    # the same open cell one float wide in b: its corners clear, so the stop comes at its split
+    tiny_hi = np.array([[2.0, np.nextafter(0.0, 1.0), 1.0, 1.0]])
     with pytest.raises(bh.CertificateFailed) as err:
-        contraction._bisect(lo, tiny_hi, np.array([-1.0]), P, areas, 1.0, 1.0, 0.0, 4096)
+        contraction._bisect(lo, tiny_hi, P, areas, 1.0, -1.0 + 1e-9, 0.0, 4096)
     assert err.value.reason == "bisection reached float resolution"
 
 
@@ -414,22 +441,20 @@ def test_verified_cells_bound_sampled_family_gaps(body_c):
     cert = bh.certify_no_contraction(body_c, **kwargs)
     labels, planes = contraction._build_family(body_c, (0.05, 0.1), 8, 1)
     assert labels == cert.family_labels
-    axes = np.linspace(-2.0, 2.0, 21)
     gen = np.random.default_rng(11)
-    bounds = cert.cell_bounds.ravel()
-    verified = np.flatnonzero(bounds > cert.gap_threshold)
-    lowest = verified[np.argsort(bounds[verified], kind="stable")[:60]]
-    cells = np.concatenate([lowest, gen.choice(verified, 60, replace=False)])
+    bounds = cert.cell_bounds
+    lowest = np.argsort(bounds, kind="stable")[:60]
+    cells = np.concatenate([lowest, gen.choice(bounds.size, 60, replace=False)])
 
     def family_max(point):
         p = bh.ProjectionW0(*point)
         return max(bh.area_factor(p, pl) * ar - cert.w0_area for pl, ar in zip(planes, cert.plane_areas))
 
-    for flat in cells:
-        idx = np.array(np.unravel_index(flat, cert.cell_bounds.shape))
+    for n in cells:
+        lo, hi = cert.cell_lo[n], cert.cell_hi[n]
         for _ in range(3):
-            point = axes[idx] + gen.uniform(0.0, 1.0, 4) * (axes[idx + 1] - axes[idx])
-            assert family_max(point) >= bounds[flat]
+            point = lo + gen.uniform(0.0, 1.0, 4) * (hi - lo)
+            assert family_max(point) >= bounds[n]
     # the least verified cell comes from the bisection around the grid minimum
     worst = cert.worst_cell
     assert cert.global_min_max_gap == worst["refined_gap"] > cert.gap_threshold
@@ -445,7 +470,7 @@ def test_certificate_reports_box_and_exterior_guarantees(body_c):
     )
     box, ext = cert.box, cert.exterior
     assert box["guarantee"] == "verified" and ext["guarantee"] == "verified"
-    assert box["cells_per_level"][0] == 20**4
+    assert box["cells_per_level"][0] == 1
     assert sum(box["cells_per_level"][1:]) == cert.refined_count
     assert 0.0 < box["allowance"] < 1e-11
     assert ext["R"] == 2.0
@@ -484,9 +509,9 @@ def _small_family():
 @pytest.mark.parametrize("block", [1 << 16, 125], ids=["one-block", "row-blocks"])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
-    # the grid passes add tables of G and a H; every point and cell must carry the bits of
-    # _signed_factors at its corners, before any allowance is subtracted; 3 threads split
-    # the 4 cell rows unevenly
+    # the points pass adds tables of G and a H; every point must carry the bits of
+    # _signed_factors there, before any allowance is subtracted; 3 threads split
+    # the 5 grid rows unevenly
     monkeypatch.setattr(contraction, "_BLOCK", block)
     P, areas = _small_family()
     axes, w0_area = np.linspace(-4.0, 4.0, 5), 1.2
@@ -494,21 +519,13 @@ def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
     for idx in np.ndindex(best.shape):
         gaps = np.abs(contraction._signed_factors(*axes[list(idx)], P.T)) * areas - w0_area
         assert best[idx] == gaps.max()
-    bounds, witness = contraction._scan_cells(axes, P, areas, w0_area, threads)
-    idx = np.array(list(np.ndindex(bounds.shape)))
-    lower, _, _ = contraction._cell_bounds(axes[idx], axes[idx + 1], P, areas, w0_area)
-    assert np.array_equal(lower.max(axis=1), bounds[tuple(idx.T)])
-    # with w0_area = 0 the corner kernel gives each plane's clamped value itself
-    clamped, _, _ = contraction._cell_bounds(axes[idx], axes[idx + 1], P, areas, 0.0)
-    first = np.where(clamped.max(axis=1) > 0.0, clamped.argmax(axis=1), -1)
-    assert np.array_equal(first, witness[tuple(idx.T)])
 
 
 def test_euclidean_control_fails_before_witness_and_cells_passes(ball4, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("pass ran after a failing grid minimum")
 
-    monkeypatch.setattr(contraction, "_scan_cells", must_not_run)
+    monkeypatch.setattr(contraction, "_bisect", must_not_run)
     with pytest.raises(bh.CertificateFailed) as err:
         bh.certify_no_contraction(
             ball4, box_halfwidth=2.0, grid_n=21, eps_set=(0.05, 0.1), extra_planes=8, seed=1
