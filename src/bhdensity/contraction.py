@@ -11,10 +11,10 @@ lambda(V) = |f|, where in the Plucker coordinates p_ij of V
 it contracts the normed Hausdorff 2-measure only if
 lambda(V) * H^2(C cut V) <= H^2(C cut W0) for every plane V.  f has degree
 at most one in each parameter, so over a box of parameters it is extreme at
-the box's corners.  After one pass over the points of a parameter grid, the
-certificate uses that to bound the best witness gap from below on cells
-bisected from the parameter box, splitting the cells that do not clear the
-threshold, and bounds it outside the box in closed form through the four
+the box's corners.  After a search for the least best gap on a parameter
+grid, the certificate uses that to bound the best witness gap from below on
+cells bisected from the parameter box, splitting the cells that do not clear
+the threshold, and bounds it outside the box in closed form through the four
 coordinate planes whose f is -a, -b, c or d.
 """
 
@@ -272,7 +272,6 @@ class Certificate:
     family_labels: list
     plane_areas: np.ndarray
     w0_area: float
-    cell_values: np.ndarray = field(repr=False)
     cell_lo: np.ndarray = field(repr=False)
     cell_hi: np.ndarray = field(repr=False)
     cell_bounds: np.ndarray = field(repr=False)
@@ -368,6 +367,7 @@ def _plane_tables(body: Body, planes):
 
 _WITNESS_TIE = 1e-12
 _BLOCK = 1 << 16  # grid points per block of the points pass
+_TABLE = 1 << 20  # (point or cell corner, plane) entries per chunk of a table
 
 # corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is set
 _CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
@@ -425,6 +425,47 @@ def _scan_points(axes, P, areas, w0_area, threads):
     return best
 
 
+def _gaps(a, b, c, d, P, areas, w0_area):
+    """|f| * area - w0_area of every plane of the Plucker table ``P`` (last
+    axis) at the broadcast parameters: the bits `_scan_points` maximizes."""
+    return np.abs(_signed_factors(a, b, c, d, P.T)) * areas - w0_area
+
+
+def _coarse_axes(axes):
+    """Every s-th grid value, s = ceil((grid_n - 1) / 8): at most 9 per axis."""
+    return axes[::-(-(axes.size - 1) // 8)]
+
+
+def _grid_minimum(axes, P, areas, w0_area, threads):
+    """Flat C-order index and value of the first least `_scan_points` best gap
+    on the grid ``axes``^4, found by exclusion in the four steps that
+    `certify_no_contraction` describes; the full family is scored in chunks
+    of at most ``_TABLE`` (point, plane) entries."""
+    coarse = _coarse_axes(axes)
+    coarse_gaps = _gaps(*(x[..., None] for x in np.ix_(coarse, coarse, coarse, coarse)),
+                        P, areas, w0_area).reshape(-1, areas.size)
+    U = np.maximum(coarse_gaps.max(axis=1), -w0_area).min()
+    cover = coarse_gaps > U
+    open_ = cover.any(axis=1)
+    keep = []
+    while open_.any():
+        keep.append(int(np.argmax(cover[open_].sum(axis=0))))
+        open_ &= ~cover[:, keep[-1]]
+    partial = _scan_points(axes, P[keep], areas[keep], w0_area, threads)
+    survivors = np.flatnonzero(partial.ravel() <= U)
+    rows = max(1, _TABLE // areas.size)
+    best_idx, best = -1, np.inf
+    for s in range(0, survivors.size, rows):
+        idx = survivors[s:s + rows]
+        values = _gaps(*(axes[i][:, None] for i in np.unravel_index(idx, partial.shape)),
+                       P, areas, w0_area)
+        values = np.maximum(values.max(axis=1), -w0_area)
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best_idx, best = int(idx[k]), float(values[k])
+    return best_idx, best
+
+
 def _cell_bounds(lo, hi, P, areas, w0_area):
     """``_corner_gaps`` (cells, n_planes) of the cells [lo, hi], their corners
     (cells, 16, 4) and the best gap at each corner (cells, 16)."""
@@ -446,7 +487,7 @@ def _bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
     more than ``budget`` cells or a split below float resolution.
     """
     counts, verified_cells = [], []
-    chunk = max(1, (1 << 20) // (16 * areas.size))
+    chunk = max(1, _TABLE // (16 * areas.size))
     while True:
         bounds = np.empty(lo.shape[0])
         witness = np.empty(lo.shape[0], dtype=np.intp)
@@ -488,8 +529,15 @@ def certify_no_contraction(
 ) -> Certificate:
     """Certify a witness gap above ``gap_threshold`` at every projection (a, b, c, d).
 
-    One pass finds the best gap at each point of the grid with grid_n points
-    per axis on [-R, R]^4 (`_scan_points`).  Only if the least of them clears
+    `_grid_minimum` finds the least best gap on the grid with grid_n points
+    per axis on [-R, R]^4 in four steps: every plane is scored on a coarse
+    sub-grid of at most 9 points per axis, whose least best gap U is a grid
+    value; a few planes are chosen greedily to cover every coarse point where
+    some plane's gap exceeds U; those planes alone are scanned over the whole
+    grid (`_scan_points`); and the full family is scored only at the points
+    whose partial best is at most U.  That is exact: a point's best over all
+    planes is at least its partial best, so every point it skips lies above
+    U, and U is at least the grid minimum.  Only if the grid minimum clears
     the threshold is the box [-R, R]^4 bisected from a single cell
     (``_bisect``), within (grid_n - 1)^4 cells, until every cell's best
     ``_corner_gaps`` clears it.  Outside the box some |parameter| exceeds R,
@@ -519,11 +567,11 @@ def certify_no_contraction(
     all the error the section areas may carry: they are trusted to it, not
     proved.
 
-    The points pass runs on ``threads`` threads (None or 0: one per CPU); the
-    result does not depend on the count.  Raises ValueError when R is so
-    large that the allowance overflows, and CertificateFailed when the
-    exterior bound, a grid point or a bisection corner does not clear the
-    threshold, or the bisection stops.
+    The grid scan of the covering planes runs on ``threads`` threads (None or
+    0: one per CPU); the result does not depend on the count.  Raises
+    ValueError when R is so large that the allowance overflows, and
+    CertificateFailed when the exterior bound, a grid point or a bisection
+    corner does not clear the threshold, or the bisection stops.
     """
     if not (np.isfinite(box_halfwidth) and box_halfwidth >= 2.0):
         raise ValueError("box halfwidth must be finite and >= 2")
@@ -557,11 +605,9 @@ def certify_no_contraction(
     if not np.isfinite(allowance):
         raise ValueError(f"box halfwidth {R:g} overflows the rounding allowance")
 
-    def gaps_at(point):
-        return np.abs(_signed_factors(*point, P.T)) * areas - w0_area
-
     def fail_at(point, max_gap, reason):
-        raise CertificateFailed(point, max_gap, dict(zip(labels, gaps_at(point).tolist())), reason)
+        gaps = _gaps(*point, P, areas, w0_area)
+        raise CertificateFailed(point, max_gap, dict(zip(labels, gaps.tolist())), reason)
 
     # --- exterior, in closed form
     exterior_bound = min(ext_areas) * R - w0_area - allowance
@@ -571,15 +617,12 @@ def certify_no_contraction(
 
     # --- grid points; bisection of the box once the grid minimum clears
     axes = np.linspace(-R, R, grid_n)
-    best = _scan_points(axes, P, areas, w0_area, threads)
-
-    flat_idx = int(np.argmin(best.ravel()))
-    min_gap = float(best.ravel()[flat_idx])
-    ii = np.unravel_index(flat_idx, best.shape)
-    min_point = tuple(float(axes[i]) for i in ii)
+    flat_idx, min_gap = _grid_minimum(axes, P, areas, w0_area, threads)
+    min_point = tuple(float(axes[i]) for i in np.unravel_index(flat_idx, (grid_n,) * 4))
     if min_gap <= gap_threshold:
         fail_at(min_point, min_gap, "grid minimum")
-    min_witness = labels[int(np.argmax(gaps_at(min_point) >= min_gap - _WITNESS_TIE))]
+    at_min = _gaps(*min_point, P, areas, w0_area)
+    min_witness = labels[int(np.argmax(at_min >= min_gap - _WITNESS_TIE))]
     try:
         level_cells, (cell_lo, cell_hi, bounds, witness) = _bisect(
             np.full((1, 4), -R), np.full((1, 4), R), P, areas, w0_area, gap_threshold, allowance,
@@ -602,7 +645,6 @@ def certify_no_contraction(
         family_labels=labels,
         plane_areas=areas,
         w0_area=float(w0_area),
-        cell_values=best,
         cell_lo=cell_lo,
         cell_hi=cell_hi,
         cell_bounds=bounds,

@@ -7,7 +7,7 @@ import bhdensity as bh
 import bhdensity.contraction as contraction
 from bhdensity._jsonfmt import dumps
 from bhdensity.geom import wedge_rows
-from conftest import C1_V1V2, C2_V3V4, SQRT2, V9_GAP, W0_AREA, gram_route
+from conftest import C1_V1V2, C2_V3V4, SQRT2, V9_GAP, W0_AREA, gram_route, random_abs_sum_body
 
 
 def test_named_plane_examples():
@@ -230,7 +230,7 @@ def test_certificate_small_run_and_determinism(body_c):
     cert1 = bh.certify_no_contraction(body_c, **kwargs)
     cert2 = bh.certify_no_contraction(body_c, **kwargs)
     assert cert1.success
-    assert (cert1.cell_values > 0.0).all()  # every cell has a positive witness
+    assert cert1.worst_cell["gap"] > 0.0  # the least best gap over the grid points
     assert dumps(cert1.to_report(deterministic=True)) == dumps(cert2.to_report(deterministic=True))
     assert abs(cert1.worst_cell["gap"] - V9_GAP) < 1e-12
     assert cert1.worst_cell["witness"] == "v9"
@@ -291,10 +291,10 @@ def test_certificate_thread_count_does_not_change_cells(body_c):
     kwargs = dict(box_halfwidth=2.0, grid_n=21, eps_set=(0.1,), extra_planes=4, seed=2)
     one = bh.certify_no_contraction(body_c, threads=1, **kwargs)
     four = bh.certify_no_contraction(body_c, threads=4, **kwargs)
-    assert np.array_equal(one.cell_values, four.cell_values)
     assert np.array_equal(one.cell_witness, four.cell_witness)
     assert np.array_equal(one.cell_bounds, four.cell_bounds)
     assert one.box == four.box and one.worst_cell == four.worst_cell
+    assert dumps(one.to_report(deterministic=True)) == dumps(four.to_report(deterministic=True))
 
 
 def test_certificate_euclidean_control_fails(ball4):
@@ -519,6 +519,65 @@ def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
     for idx in np.ndindex(best.shape):
         gaps = np.abs(contraction._signed_factors(*axes[list(idx)], P.T)) * areas - w0_area
         assert best[idx] == gaps.max()
+
+
+def _family_tables(body, eps_set, extra_planes, seed):
+    _, planes = contraction._build_family(body, eps_set, extra_planes, seed)
+    areas, P = contraction._plane_tables(body, planes + [bh.w0_plane(4)])
+    return P[:-1], areas[:-1], float(areas[-1])
+
+
+def _full_grid_minimum(axes, P, areas, w0_area):
+    best = contraction._scan_points(axes, P, areas, w0_area, threads=2).ravel()
+    return int(np.argmin(best)), float(best.min())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["rotated-cross4", "euclid-n4", "cross4", "random-abs-sum-0"])
+def test_grid_minimum_matches_full_scan(name, seed):
+    # the pruned search finds the full family's first argmin and its value, bit for bit
+    body = {"rotated-cross4": bh.make_rotated_cross_polytope,
+            "euclid-n4": lambda: bh.make_euclidean_ball(4),
+            "cross4": lambda: bh.make_cross_polytope(4),
+            "random-abs-sum-0": lambda: random_abs_sum_body(0)}[name]()
+    P, areas, w0_area = _family_tables(body, (0.02, 0.05, 0.1), 64, seed)
+    for grid_n in (21, 25, 33):
+        axes = np.linspace(-4.0, 4.0, grid_n)
+        idx, value = contraction._grid_minimum(axes, P, areas, w0_area, threads=2)
+        want_idx, want_value = _full_grid_minimum(axes, P, areas, w0_area)
+        assert idx == want_idx
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+
+
+@pytest.mark.parametrize("chunk_points", [None, 3], ids=["one-chunk", "chunks-of-3"])
+def test_grid_minimum_returns_first_of_tied_minimizers(chunk_points, monkeypatch):
+    # v9 repeated; w0 (area 0.97) is the best plane at thousands of points, all tied
+    P, areas = _small_family()
+    P, areas = P[[0, 1, 2, 3, 4, 0]], areas[[0, 1, 2, 3, 4, 0]]
+    if chunk_points is not None:
+        monkeypatch.setattr(contraction, "_TABLE", chunk_points * areas.size)
+    axes, w0_area = np.linspace(-4.0, 4.0, 21), 1.2
+    best = contraction._scan_points(axes, P, areas, w0_area, threads=1).ravel()
+    assert np.count_nonzero(best == best.min()) > 1
+    assert contraction._grid_minimum(axes, P, areas, w0_area, 3) == _full_grid_minimum(
+        axes, P, areas, w0_area)
+
+
+def test_grid_minimum_in_chunks_of_three_points(body_c, monkeypatch):
+    P, areas, w0_area = _family_tables(body_c, (0.05, 0.1), 8, 1)
+    monkeypatch.setattr(contraction, "_TABLE", 3 * areas.size)
+    axes = np.linspace(-2.0, 2.0, 23)
+    assert contraction._grid_minimum(axes, P, areas, w0_area, 2) == _full_grid_minimum(
+        axes, P, areas, w0_area)
+
+
+@pytest.mark.parametrize("grid_n", [21, 25, 33, 65, 129])
+def test_coarse_grid_stays_small(grid_n):
+    # a large --grid must not make a large (coarse points, planes) table
+    axes = np.linspace(-4.0, 4.0, grid_n)
+    coarse = contraction._coarse_axes(axes)
+    assert 2 <= coarse.size <= 9
+    assert np.isin(coarse, axes).all() and coarse[0] == axes[0]
 
 
 def test_euclidean_control_fails_before_witness_and_cells_passes(ball4, monkeypatch):
