@@ -142,39 +142,68 @@ def make_product(left: Body, m: int) -> SmoothBody:
     return body
 
 
+def _complex_lp_power(XT: np.ndarray, p: float, q: float) -> np.ndarray:
+    """(sum_j |z_j|^p)^(q/p) over the interleaved pairs of the columns of XT, in one power."""
+    sq = XT[0::2] ** 2
+    sq += XT[1::2] ** 2
+    # p = 1 needs no branch: numpy computes ** 0.5 as a sqrt and ** 1.0 as a copy;
+    # adding the k <= 4 rows one at a time beats .sum(axis=0), with the same bits
+    return sum(sq ** (p / 2.0)) ** (q / p)
+
+
 def _complex_lp_gauge(X: np.ndarray, p: float) -> np.ndarray:
     """(sum_j |z_j|^p)^(1/p) over the interleaved pairs of the rows of X."""
-    sq = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
-    # p = 1 needs no branch: numpy computes ** 0.5 as a sqrt and ** 1.0 as a copy;
-    # adding the k <= 4 columns one at a time beats .sum(axis=1), with the same bits
-    return sum((sq ** (p / 2.0)).T) ** (1.0 / p)
+    return _complex_lp_power(X.T, p, 1.0)
+
+
+def gauge_power(body: Body, XT: np.ndarray, q: float) -> np.ndarray:
+    """gauge(x)^q for the columns x of XT, an (n, N) array, as N values.
+
+    The one gauge kernel, coordinate-major: every term reads whole rows of
+    XT.  It has no rescale path, so it is meant for columns of moderate
+    norm, such as unit vectors; `minkowski_many` wraps it for rows of any
+    scale.  For q = 1 the values are bitwise those of the row formulas
+    except where a sum has 8 or more terms (abs-sum bodies of k >= 8
+    functionals, and the Euclidean ball of R^8 when XT is C-ordered): numpy
+    adds a row of that length pairwise, a column term by term.
+    """
+    if isinstance(body, AbsSumBody):
+        g = np.abs(body.functionals @ XT).sum(axis=0)
+    elif body.kind == "euclidean":
+        return (XT * XT).sum(axis=0) ** (q / 2.0)
+    elif body.kind == "complex_lp":
+        return _complex_lp_power(XT, body.p, q)
+    else:  # product
+        nl = body.left.n
+        right = XT[nl:]
+        g = np.maximum(gauge_power(body.left, XT[:nl], 1.0), np.sqrt((right * right).sum(axis=0)))
+    return g ** q
+
+
+def _largest_power(body: Body) -> float:
+    """The largest power the gauge takes of a coordinate, at least 2."""
+    if isinstance(body, AbsSumBody) or body.kind == "euclidean":
+        return 2.0
+    if body.kind == "complex_lp":
+        return max(body.p, 2.0)
+    return _largest_power(body.left)
 
 
 def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
-    """Minkowski functional on the rows of X (vectorized)."""
+    """Minkowski functional on the rows of X (vectorized), safe at any scale."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != body.n:
         raise DimensionMismatch(f"expected shape (m, {body.n}), got {X.shape}")
-    if isinstance(body, AbsSumBody):
-        return np.abs(X @ body.functionals.T).sum(axis=1)
-    if body.kind == "euclidean":
-        return np.linalg.norm(X, axis=1)
-    if body.kind == "complex_lp":
-        with np.errstate(over="ignore", under="ignore"):
-            val = _complex_lp_gauge(X, body.p)
-        # outside [1/t, t] a square or power may have left the normal floats; the
-        # gauge is 1-homogeneous, so such rows are redone after an exact rescale
-        t = 2.0 ** (900.0 / max(body.p, 2.0))
+    with np.errstate(over="ignore", under="ignore"):
+        val = gauge_power(body, X.T, 1.0)
+    # outside [1/t, t] a square or power may have left the normal floats; the
+    # gauge is 1-homogeneous, so such rows are redone after an exact rescale
+    t = 2.0 ** (900.0 / _largest_power(body))
+    if val.size and not (val.min() >= 1.0 / t and val.max() <= t):
         off = ~((val >= 1.0 / t) & (val <= t))
-        if off.any():
-            _, exp = np.frexp(np.abs(X[off]).max(axis=1))
-            val[off] = np.ldexp(_complex_lp_gauge(np.ldexp(X[off], -exp[:, None]), body.p), exp)
-        return val
-    # product
-    nl = body.left.n
-    left_val = minkowski_many(body.left, X[:, :nl])
-    right_val = np.linalg.norm(X[:, nl:], axis=1)
-    return np.maximum(left_val, right_val)
+        _, exp = np.frexp(np.abs(X[off]).max(axis=1))
+        val[off] = np.ldexp(gauge_power(body, np.ldexp(X[off], -exp[:, None]).T, 1.0), exp)
+    return val
 
 
 def minkowski(body: Body, x) -> float:

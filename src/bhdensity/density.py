@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Body, minkowski_many
+from .bodies import Body, gauge_power
 from .errors import (
     DegenerateSpan,
     DimensionMismatch,
@@ -132,22 +132,30 @@ def mc_section_volume(
     (sqrt(1 - t) e^(2 pi i u2), sqrt(t) e^(2 pi i u3)) with the tent
     t = 1 - |2 u1 - 1|.  Every shift is an unbiased estimate (L'Ecuyer and
     Lemieux 2000).  The angles come from per-call tables exp(2 pi i j step),
-    j < `_MC_CHUNK`, rotated by one complex multiply per chunk, and the
-    complex points viewed as floats are the interleaved coordinates of E.
+    j < `_MC_CHUNK`, rotated by one complex multiply per chunk.  The real and
+    imaginary parts of the points fill the rows of one coordinate-major
+    (m, points) array, the interleaved coordinates of E.  Multiplied by
+    basis, it holds the points of R^n as columns, and
+    `gauge_power(body, X, -m)` scores them in one power.
 
     Returns (volume, stderr): alpha_m times the mean of the shift means and
     their standard error over the shifts (63 degrees of freedom), floored at
     TOL.mc_rounding_rel of the volume, the rounding the spread cannot see.
     Below 64 samples no shift has a point: the volume is nan and the stderr
-    infinite.  Raises ValueError for n_samples < 1 or a seed outside
-    [0, 2**64).
+    infinite.  Raises ValueError for n_samples < 1, a seed outside
+    [0, 2**64) or basis columns that are not orthonormal to TOL.geometric,
+    and DimensionMismatch unless basis has body.n rows.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     check_seed(seed)
+    if basis.ndim != 2 or basis.shape[0] != body.n:
+        raise DimensionMismatch(f"basis must have {body.n} rows, got shape {basis.shape}")
     m = basis.shape[1]
     if m not in (2, 4):
         raise DimensionMismatch(f"section volumes are estimated in dimension 2 or 4, not {m}")
+    if np.abs(basis.T @ basis - np.eye(m)).max() > TOL.geometric:
+        raise ValueError("basis columns must be orthonormal")
     n_pts = n_samples // _MC_SHIFTS
     if n_pts == 0:
         return math.nan, math.inf
@@ -156,24 +164,27 @@ def mc_section_volume(
     turns = slice(m // 2 - 1, None)  # the coordinates of u that are angles
     rows = min(n_pts, _MC_CHUNK)
     group = _MC_CHUNK // rows  # shifts per pass when a shift has fewer points than a chunk
-    offsets = _frac(np.arange(rows)[:, None] * step)
-    spins = np.exp(2j * np.pi * offsets[:, turns])
+    offsets = _frac(step[:, None] * np.arange(rows))
+    spins = np.exp(2j * np.pi * offsets[turns])
+    points = np.empty(m * group * rows)  # the real (m, points) array of each pass
     sums = np.zeros(_MC_SHIFTS)
     for k0 in range(0, n_pts, rows):
         take = min(rows, n_pts - k0)
         for s0 in range(0, _MC_SHIFTS, group):
-            base = _frac(shifts[s0 : s0 + group] + k0 * step)[:, None, :]
-            z = spins[:take] * np.exp(2j * np.pi * base[..., turns])
+            base = _frac(shifts[s0 : s0 + group] + k0 * step)
+            count = len(base)
+            z = spins[:, None, :take] * np.exp(2j * np.pi * base[:, turns]).T[:, :, None]
+            P = points[: m * count * take].reshape(m // 2, 2, count, take)
+            P[:, 0] = z.real
+            P[:, 1] = z.imag
+            del z  # free the complex points before the gauge allocates its temporaries
             if m == 4:
                 # u1 = base + offset lies in [0, 2), where 1 - tent(frac(u1)) = ||2 u1 - 2| - 1|
-                co_t = np.abs(np.abs(2.0 * base[..., 0] - 2.0 + 2.0 * offsets[:take, 0]) - 1.0)
-                z[..., 0] *= np.sqrt(co_t)
-                z[..., 1] *= np.sqrt(1.0 - co_t)
-            y = 1.0 / minkowski_many(body, z.view(float).reshape(-1, m) @ basis.T)
-            y *= y
-            if m == 4:
-                y *= y
-            sums[s0 : s0 + group] += y.reshape(len(base), take).sum(axis=1)
+                co_t = np.abs(np.abs(2.0 * base[:, :1] - 2.0 + 2.0 * offsets[0, :take]) - 1.0)
+                P[0] *= np.sqrt(co_t)
+                P[1] *= np.sqrt(1.0 - co_t)
+            y = gauge_power(body, basis @ P.reshape(m, -1), -m)
+            sums[s0 : s0 + count] += y.reshape(count, take).sum(axis=1)
     means = sums / n_pts
     mean = float(means.mean())
     spread = float(means.std(ddof=1)) / math.sqrt(_MC_SHIFTS)

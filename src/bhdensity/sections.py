@@ -121,8 +121,9 @@ def _radial_section(body: Body, plane: Plane2, n_angles: int):
     # O(N^-2) for convex sections and vanishes for discs, which keeps the
     # default N = 4096 inside the documented 1e-6 disc accuracy
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    rays = np.cos(theta)[:, None] * plane.u[None, :] + np.sin(theta)[:, None] * plane.v[None, :]
-    r = 1.0 / minkowski_many(body, rays)
+    # coordinate-major (n, N) rays, so the gauge reads contiguous rows
+    rays = plane.u[:, None] * np.cos(theta) + plane.v[:, None] * np.sin(theta)
+    r = 1.0 / minkowski_many(body, rays.T)
     area = float(np.pi / n_angles * np.dot(r, r))
     verts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
     return SectionReport(Polygon2(verts), area, f"radial({n_angles})")

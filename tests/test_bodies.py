@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
-from bhdensity.bodies import _complex_lp_gauge, minkowski_many
+from bhdensity.bodies import _complex_lp_gauge, gauge_power, minkowski_many
 from conftest import SQRT2
 
 
@@ -109,6 +109,50 @@ def test_complex_gauge_is_scale_safe(p):
     want = np.array([1e200, 1e-200, SQRT2 * 1e160])
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 4e-16 * want)
+
+
+def _row_gauge(body, X):
+    """The row-major gauge formulas, one reduction per row."""
+    if isinstance(body, bh.AbsSumBody):
+        return np.abs(X @ body.functionals.T).sum(axis=1)
+    if body.kind == "euclidean":
+        return np.linalg.norm(X, axis=1)
+    if body.kind == "complex_lp":
+        sq = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
+        return (sq ** (body.p / 2.0)).sum(axis=1) ** (1.0 / body.p)
+    nl = body.left.n
+    return np.maximum(_row_gauge(body.left, X[:, :nl]), np.linalg.norm(X[:, nl:], axis=1))
+
+
+_KERNEL_BODIES = {
+    "abs-sum-k4": lambda: bh.AbsSumBody(np.random.default_rng(4).standard_normal((4, 4))),
+    "abs-sum-k12": lambda: bh.AbsSumBody(np.random.default_rng(12).standard_normal((12, 6))),
+    "euclidean6": lambda: bh.make_euclidean_ball(6),
+    **{f"complex-lp-p{p:g}": (lambda p=p: bh.make_complex_lp(p, 3))
+       for p in (1.0, 1.5, 2.0, 3.0, 7.25)},
+    "product-cross4-2": lambda: bh.make_product(bh.make_cross_polytope(4), 2),
+    "product-complex-lp-1": lambda: bh.make_product(bh.make_complex_lp(1.5, 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_BODIES))
+def test_gauge_power_matches_row_gauge(name):
+    body = _KERNEL_BODIES[name]()
+    X = np.random.default_rng(7).standard_normal((2000, body.n))
+    X[:100, 0:2] = 0.0  # a whole complex pair 0
+    X[100:200, 2:4] = 0.0
+    XT = np.ascontiguousarray(X.T)
+    row = _row_gauge(body, X)
+    eps = np.finfo(float).eps
+    for got in (gauge_power(body, XT, 1.0), minkowski_many(body, X)):
+        if name == "abs-sum-k12":
+            # numpy adds a row of >= 8 terms pairwise, a column one term at a time
+            assert np.all(np.abs(got - row) <= 4 * eps * row)
+        else:
+            assert got.tobytes() == row.tobytes()
+    for q in (-2.0, -4.0):
+        want = minkowski_many(body, X) ** q
+        assert np.all(np.abs(gauge_power(body, XT, q) - want) <= 8 * eps * want)
 
 
 def test_complex_homogeneity():

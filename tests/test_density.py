@@ -194,9 +194,11 @@ def test_r3_step_is_the_generalized_golden_ratio():
         (bh.make_cross_polytope(6), 4, 64 * 100 + 5),
         (bh.make_rotated_cross_polytope(), 2, 64 * (_MC_CHUNK + 17)),
         (bh.make_complex_lp(3.0, 2), 2, 64 * 1000 + 63),
+        (bh.make_euclidean_ball(6), 4, 64 * (_MC_CHUNK + 17)),
+        (bh.make_product(bh.make_cross_polytope(4), 2), 4, 64 * 100 + 5),
     ],
     ids=["complex-lp-m4-chunks", "cross6-m4-grouped", "rotated-cross4-m2-chunks",
-         "complex-lp-m2-grouped"],
+         "complex-lp-m2-grouped", "euclidean6-m4-chunks", "product-m4-grouped"],
 )
 def test_mc_volume_matches_direct_trigonometry_oracle(body, m, n_samples):
     # the table-rotated chunks must give what the points computed one by one give
@@ -262,6 +264,18 @@ def test_mc_volume_refuses_other_dimensions():
     for m in (1, 3, 5):
         with pytest.raises(bh.DimensionMismatch):
             bh.mc_section_volume(body, np.eye(6)[:, :m], 64 * 10, seed=0)
+
+
+def test_mc_volume_refuses_a_bad_basis():
+    body = bh.make_complex_lp(2.0, 3)
+    with pytest.raises(bh.DimensionMismatch, match="basis must have 6 rows"):
+        bh.mc_section_volume(body, np.eye(4)[:, :2], 64 * 10, seed=0)
+    sheared = np.eye(6)[:, :4]
+    sheared[0, 1] = 1e-9  # columns 0 and 1 no longer orthogonal
+    with pytest.raises(ValueError, match="orthonormal"):
+        bh.mc_section_volume(body, sheared, 64 * 10, seed=0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        bh.mc_section_volume(body, 1.001 * np.eye(6)[:, :2], 64 * 10, seed=0)
 
 
 def test_mc_volume_below_one_point_per_shift():

@@ -5,6 +5,7 @@ import pytest
 
 import bhdensity as bh
 import bhdensity.sections as sections
+from bhdensity.bodies import minkowski_many
 from conftest import SQRT2, W0_AREA, clipped_section_area, embed_plane, random_abs_sum_body
 
 
@@ -207,6 +208,28 @@ def test_many_functionals_section():
         assert abs(rep.euclidean_area - radial) <= 5e-6 * rep.euclidean_area
         assert len(rep.polygon.vertices) == 48
         _assert_distinct_vertices(rep.polygon.vertices)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bh.make_complex_lp(1.5, 2),
+        lambda: bh.make_euclidean_ball(4),
+        lambda: bh.make_product(bh.make_cross_polytope(4), 2),
+    ],
+    ids=["complex-lp-1.5-2", "euclidean4", "product-cross4-2"],
+)
+def test_radial_section_bits_match_row_major_rays(make):
+    # coordinate-major rays read by the gauge as rows give the row-major formula's bits
+    body = make()
+    n_angles = 4096
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    for i in range(4):
+        pl = bh.random_plane(5, body.n, stream=i)
+        rays = np.cos(theta)[:, None] * pl.u[None, :] + np.sin(theta)[:, None] * pl.v[None, :]
+        r = 1.0 / minkowski_many(body, rays)
+        area = float(np.pi / n_angles * np.dot(r, r))
+        assert sections._radial_section(body, pl, n_angles).euclidean_area == area
 
 
 def test_product_plane_delegation(body_c):
