@@ -367,10 +367,11 @@ def _plane_tables(body: Body, planes):
 
 _WITNESS_TIE = 1e-12
 _BLOCK = 1 << 16  # grid points per block of the points pass
-_TABLE = 1 << 20  # (point or cell corner, plane) entries per chunk of a table
+_TABLE = 1 << 20  # (point or lattice point, plane) entries per chunk of a table
 
-# corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is set
-_CORNERS = np.array(list(itertools.product((False, True), repeat=4)))
+# corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is 1, and
+# child k of a split cell takes the upper half there
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=4)))
 
 
 def _corner_gaps(f_min, f_max, areas, w0_area):
@@ -466,39 +467,72 @@ def _grid_minimum(axes, P, areas, w0_area, threads):
     return best_idx, best
 
 
-def _cell_bounds(lo, hi, P, areas, w0_area):
-    """``_corner_gaps`` (cells, n_planes) of the cells [lo, hi], their corners
-    (cells, 16, 4) and the best gap at each corner (cells, 16)."""
-    corners = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])
-    f = _signed_factors(*np.moveaxis(corners, -1, 0)[..., None], P.T)
-    lower = _corner_gaps(f.min(axis=1), f.max(axis=1), areas, w0_area)
-    return lower, corners, (np.abs(f) * areas - w0_area).max(axis=2)
+def _lattice_bounds(vals, P, areas, w0_area):
+    """``_corner_gaps`` of the cells of the lattices ``vals`` over the planes of
+    the Plucker table ``P``, and the best gap at each lattice point.
+
+    ``vals`` (lattices, 4, k) holds each lattice's k values along the axes a,
+    b, c, d; its cells are the (k - 1)^4 boxes between neighbouring values,
+    in C order.  f is one broadcast add of the G table over the k^3 (b, c, d)
+    points and the a H table over the k^2 (a, d) points, so every point
+    carries the bits of `_signed_factors`; a cell's f_min and f_max are exact
+    minima and maxima over windows of 2 along each axis.  The best gap, the
+    largest |f| * area less w0_area, is subtracted once, as in `_scan_points`.
+    Returns the bounds (lattices * cells, n_planes), lattice by lattice, and
+    the best gaps (lattices, k, k, k, k).
+    """
+    a, b, c, d = (vals[(slice(None), t) + (None,) * t + (slice(None),) + (None,) * (4 - t)]
+                  for t in range(4))
+    f = np.add(*_factor_terms(a, b, c, d, P.T))
+    best = (np.abs(f) * areas).max(axis=-1) - w0_area
+    f_min = f_max = f
+    for t in range(1, 5):
+        head, tail = ((slice(None),) * t + (s,) for s in (slice(None, -1), slice(1, None)))
+        f_min = np.minimum(f_min[head], f_min[tail])
+        f_max = np.maximum(f_max[head], f_max[tail])
+    return _corner_gaps(f_min, f_max, areas, w0_area).reshape(-1, areas.size), best
 
 
 def _bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
     """Split the cells [lo, hi] into 16 until all clear ``threshold``.
 
-    Each level bounds its cells with `_cell_bounds`, keeps the cells that
-    clear as verified and splits the others.  Returns the cell count per
-    level and the verified cells (lo, hi, bound, witness), level by level; a
-    cell's witness is the first plane of largest ``_corner_gaps`` on it.
-    Raises CertificateFailed, without a gap table, at a corner whose best gap
-    does not clear the threshold, or at the open cell of least bound before
-    more than ``budget`` cells or a split below float resolution.
+    A level bounds the cells of its lattices with `_lattice_bounds`, in
+    chunks of lattices whose f table stays within ``_TABLE`` entries: the
+    first level's lattices are the cells' ends (lo, hi), and a split cell's
+    16 children are the cells of its lattice (lo, mid, hi), in `_CORNERS`
+    order, sharing 81 corners.  Each level keeps the cells that clear as
+    verified and splits the others.  Returns the cell count per level and the
+    verified cells (lo, hi, bound, witness), level by level; a cell's witness
+    is the first plane of largest ``_corner_gaps`` on it.  Raises
+    CertificateFailed, without a gap table, at the least corner best gap of a
+    level that does not clear the threshold, the first in (cell, `_CORNERS`)
+    order, or at the open cell of least bound before more than ``budget``
+    cells or a split below float resolution.
     """
     counts, verified_cells = [], []
-    chunk = max(1, _TABLE // (16 * areas.size))
+    vals = np.stack((lo, hi), axis=-1)
     while True:
-        bounds = np.empty(lo.shape[0])
-        witness = np.empty(lo.shape[0], dtype=np.intp)
-        for s in range(0, lo.shape[0], chunk):
-            lower, corners, corner_best = _cell_bounds(lo[s:s + chunk], hi[s:s + chunk],
-                                                       P, areas, w0_area)
-            if corner_best.min() <= threshold:
-                c, k = np.unravel_index(int(np.argmin(corner_best)), corner_best.shape)
-                raise CertificateFailed(corners[c, k], corner_best[c, k], reason="bisection corner")
-            witness[s:s + chunk] = lower.argmax(axis=1)
-            bounds[s:s + chunk] = lower.max(axis=1) - allowance
+        k = vals.shape[2]
+        window = np.indices((k - 1,) * 4).reshape(4, -1).T  # each cell's least lattice index
+        rows = max(1, _TABLE // (k**4 * areas.size))
+        bounds = np.empty(vals.shape[0] * window.shape[0])
+        witness = np.empty(bounds.size, dtype=np.intp)
+        failed = None
+        for s in range(0, vals.shape[0], rows):
+            lower, best = _lattice_bounds(vals[s:s + rows], P, areas, w0_area)
+            least = best.min()
+            if least <= threshold and (failed is None or least < failed[1]):
+                # corner q of cell w is the lattice point w + q
+                at = best[(slice(None),) + tuple((window[:, None] + _CORNERS).transpose(2, 0, 1))]
+                n, w, q = np.unravel_index(int(np.argmin(at)), at.shape)
+                failed = vals[s + n, np.arange(4), window[w] + _CORNERS[q]], least
+            cells = slice(s * window.shape[0], s * window.shape[0] + lower.shape[0])
+            witness[cells] = lower.argmax(axis=1)
+            bounds[cells] = lower.max(axis=1) - allowance
+        if failed is not None:
+            raise CertificateFailed(*failed, reason="bisection corner")
+        lo = vals[:, np.arange(4), window].reshape(-1, 4)
+        hi = vals[:, np.arange(4), window + 1].reshape(-1, 4)
         counts.append(int(lo.shape[0]))
         verified = bounds > threshold
         verified_cells.append((lo[verified], hi[verified], bounds[verified], witness[verified]))
@@ -513,8 +547,7 @@ def _bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
         if sum(counts) + 16 * lo.shape[0] > budget:
             raise CertificateFailed(centre, bounds[worst], reason=(
                 f"bisection budget of {budget} cells exhausted with {lo.shape[0]} cells open"))
-        lo, hi = (np.where(_CORNERS, mid[:, None], lo[:, None]).reshape(-1, 4),
-                  np.where(_CORNERS, hi[:, None], mid[:, None]).reshape(-1, 4))
+        vals = np.stack((lo, mid, hi), axis=-1)
 
 
 def certify_no_contraction(
@@ -540,9 +573,10 @@ def certify_no_contraction(
     U, and U is at least the grid minimum.  Only if the grid minimum clears
     the threshold is the box [-R, R]^4 bisected from a single cell
     (``_bisect``), within (grid_n - 1)^4 cells, until every cell's best
-    ``_corner_gaps`` clears it.  Outside the box some |parameter| exceeds R,
-    so the coordinate planes whose f is that parameter bound every gap by
-    min_k A_k * R - w0_area.
+    ``_corner_gaps`` clears it; each split bounds its 16 children at once
+    from their 81 shared corners (``_lattice_bounds``).  Outside the box some
+    |parameter| exceeds R, so the coordinate planes whose f is that parameter
+    bound every gap by min_k A_k * R - w0_area.
 
     A verified cell's witness is the first plane with the cell's largest
     ``_corner_gaps``; ``witness_counts`` counts the verified cells by
@@ -570,8 +604,9 @@ def certify_no_contraction(
     The grid scan of the covering planes runs on ``threads`` threads (None or
     0: one per CPU); the result does not depend on the count.  Raises
     ValueError when R is so large that the allowance overflows, and
-    CertificateFailed when the exterior bound, a grid point or a bisection
-    corner does not clear the threshold, or the bisection stops.
+    CertificateFailed when the exterior bound, the grid minimum or the least
+    bisection corner of a level does not clear the threshold, or the
+    bisection stops.
     """
     if not (np.isfinite(box_halfwidth) and box_halfwidth >= 2.0):
         raise ValueError("box halfwidth must be finite and >= 2")

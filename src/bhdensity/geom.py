@@ -264,18 +264,12 @@ def _philox_streams(seed):
     return keyed
 
 
-def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
-    """Uniform (rotation-invariant) random 2-plane from a counter-based RNG.
-
-    Gram-Schmidt applied to two standard Gaussian vectors; identical
-    (seed, stream) always yields the identical plane.  Near-degenerate
-    draws are redrawn from the same stream.  Raises UnsupportedDimension for n
-    outside 2..8 and ValueError for a seed or stream outside [0, 2**64).
-    """
-    check_seed(seed, stream)
+def _draw_plane(gen: np.random.Generator, n: int) -> Plane2:
+    """Gram-Schmidt of the first pair of standard normal n-vectors from ``gen``
+    that spans a plane firmly; a near-degenerate pair is redrawn from ``gen``.
+    Raises UnsupportedDimension, before drawing, for n outside 2..8."""
     if not 2 <= n <= MAX_DIM:
         raise UnsupportedDimension(f"dimension {n} outside 2..{MAX_DIM}")
-    gen = _philox(seed, stream)
     while True:
         a = gen.standard_normal(n)
         b = gen.standard_normal(n)
@@ -289,9 +283,25 @@ def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
         return gram_schmidt(a, b)
 
 
+def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
+    """Uniform (rotation-invariant) random 2-plane from a counter-based RNG.
+
+    Gram-Schmidt applied to two standard Gaussian vectors; identical
+    (seed, stream) always yields the identical plane.  Near-degenerate
+    draws are redrawn from the same stream.  Raises UnsupportedDimension for n
+    outside 2..8 and ValueError for a seed or stream outside [0, 2**64).
+    """
+    check_seed(seed, stream)
+    return _draw_plane(_philox(seed, stream), n)
+
+
 def random_planes(seed: int, n: int, count: int) -> list[Plane2]:
-    """Independent reproducible planes, one counter stream per index."""
-    return [random_plane(seed, n, stream=i) for i in range(count)]
+    """Independent reproducible planes, one counter stream per index: bitwise
+    ``[random_plane(seed, n, stream=i) for i in range(count)]``, drawn through
+    one re-keyed `_philox_streams` generator."""
+    check_seed(seed)
+    keyed = _philox_streams(seed)
+    return [_draw_plane(keyed(i), n) for i in range(count)]
 
 
 def grassmann_distance(p: Plane2, q: Plane2) -> float:

@@ -376,7 +376,8 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     # each cell bound is the best plane's least corner |f|, from planes whose corners agree in
     # sign, less w0_area; the witness is the first plane with the largest such value
     cells = np.array(list(np.ndindex(4, 4, 4, 4)))
-    lower, _, _ = contraction._cell_bounds(axes[cells], axes[cells + 1], P, areas, w0_area)
+    lower, _ = contraction._lattice_bounds(np.stack((axes[cells], axes[cells + 1]), axis=-1),
+                                           P, areas, w0_area)
     bounds, witness = lower.max(axis=1), lower.argmax(axis=1)
     for n, cell in enumerate(cells):
         corners = [axes[[i + k for i, k in zip(cell, bits)]] for bits in np.ndindex(2, 2, 2, 2)]
@@ -411,12 +412,11 @@ def test_cell_bound_drops_plane_whose_factor_changes_sign():
     # span(e2, e3) has f = -a: |f| = 1 at every corner of [-1, 1]^4, but f = 0 at a = 0
     P = _coordinate_plane_table(1, 2)
     areas = np.array([10.0])
-    lower, _, corner_best = contraction._cell_bounds(
-        np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 1.0)
+    lower, corner_best = contraction._lattice_bounds(np.array([[[-1.0, 1.0]] * 4]), P, areas, 1.0)
     assert lower[0, 0] == -1.0 and corner_best.min() == 9.0
     # on a cell with a in [0.5, 1] the corners agree and the least |f| is 0.5
-    lower, _, _ = contraction._cell_bounds(
-        np.array([[0.5, -1.0, -1.0, -1.0]]), np.array([[1.0, 1.0, 1.0, 1.0]]), P, areas, 1.0)
+    lower, _ = contraction._lattice_bounds(
+        np.array([[[0.5, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]]), P, areas, 1.0)
     assert lower[0, 0] == 4.0
 
 
@@ -434,6 +434,123 @@ def test_bisection_budget_and_float_resolution_stop():
     with pytest.raises(bh.CertificateFailed) as err:
         contraction._bisect(lo, tiny_hi, P, areas, 1.0, -1.0 + 1e-9, 0.0, 4096)
     assert err.value.reason == "bisection reached float resolution"
+
+
+def _reference_bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
+    """`_bisect` with each cell's 16 corners evaluated on their own, in chunks of cells."""
+    bits = np.array(list(np.ndindex(2, 2, 2, 2)), dtype=bool)
+    counts, verified_cells = [], []
+    while True:
+        bounds, witness, failed = [], [], None
+        for s in range(0, lo.shape[0], 256):
+            corners = np.where(bits, hi[s:s + 256, None, :], lo[s:s + 256, None, :])
+            f = contraction._signed_factors(*np.moveaxis(corners, -1, 0)[..., None], P.T)
+            f_min, f_max = f.min(axis=1), f.max(axis=1)
+            lower = areas * np.maximum(np.maximum(f_min, -f_max), 0.0) - w0_area
+            corner_best = (np.abs(f) * areas - w0_area).max(axis=2)
+            c, k = np.unravel_index(int(np.argmin(corner_best)), corner_best.shape)
+            if corner_best[c, k] <= threshold and (failed is None or corner_best[c, k] < failed[1]):
+                failed = corners[c, k], corner_best[c, k]
+            bounds.append(lower.max(axis=1) - allowance)
+            witness.append(lower.argmax(axis=1))
+        if failed is not None:
+            raise bh.CertificateFailed(*failed, reason="bisection corner")
+        bounds, witness = np.concatenate(bounds), np.concatenate(witness)
+        counts.append(int(lo.shape[0]))
+        verified = bounds > threshold
+        verified_cells.append((lo[verified], hi[verified], bounds[verified], witness[verified]))
+        lo, hi, bounds = lo[~verified], hi[~verified], bounds[~verified]
+        if not lo.shape[0]:
+            return counts, [np.concatenate(part) for part in zip(*verified_cells)]
+        worst = int(np.argmin(bounds))
+        centre, mid = 0.5 * (lo[worst] + hi[worst]), 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            raise bh.CertificateFailed(centre, bounds[worst],
+                                       reason="bisection reached float resolution")
+        if sum(counts) + 16 * lo.shape[0] > budget:
+            raise bh.CertificateFailed(centre, bounds[worst], reason=(
+                f"bisection budget of {budget} cells exhausted with {lo.shape[0]} cells open"))
+        lo, hi = (np.where(bits, mid[:, None], lo[:, None]).reshape(-1, 4),
+                  np.where(bits, hi[:, None], mid[:, None]).reshape(-1, 4))
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 0.01])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_lattice_bisection_matches_per_cell_corners(body_c, seed, threshold):
+    P, areas, w0_area = _family_tables(body_c, (0.02, 0.05, 0.1), 64, seed)
+    allowance = 64.0 * np.finfo(float).eps * (areas.max() * 41.0 + w0_area)
+    args = (np.full((1, 4), -4.0), np.full((1, 4), 4.0), P, areas, w0_area, threshold, allowance,
+            32**4)
+    counts, cells = contraction._bisect(*args)
+    want_counts, want_cells = _reference_bisect(*args)
+    assert counts == want_counts
+    for got, want in zip(cells, want_cells):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_bisection_in_chunks_of_three_lattices(body_c, monkeypatch):
+    # the deepest level of 9,936 cells spans 207 chunks
+    P, areas, w0_area = _family_tables(body_c, (0.02, 0.05, 0.1), 64, 0)
+    args = (np.full((1, 4), -4.0), np.full((1, 4), 4.0), P, areas, w0_area, 0.01, 0.0, 32**4)
+    want_counts, want_cells = contraction._bisect(*args)
+    monkeypatch.setattr(contraction, "_TABLE", 3 * 81 * areas.size)
+    counts, cells = contraction._bisect(*args)
+    assert counts == want_counts and max(counts) == 9936
+    for got, want in zip(cells, want_cells):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lattices", [None, 1], ids=["default-chunks", "one-lattice-chunks"])
+def test_failing_corner_is_least_of_its_level(body_c, lattices, monkeypatch):
+    # at threshold 0.0145 corners fail in several chunks of one level, and an earlier chunk's
+    # least corner is not the level's least
+    P, areas, w0_area = _family_tables(body_c, (0.02, 0.05, 0.1), 64, 0)
+    args = (np.full((1, 4), -4.0), np.full((1, 4), 4.0), P, areas, w0_area, 0.0145, 0.0, 32**4)
+    with pytest.raises(bh.CertificateFailed) as want:
+        _reference_bisect(*args)
+    if lattices is not None:
+        monkeypatch.setattr(contraction, "_TABLE", lattices * 81 * areas.size)
+    with pytest.raises(bh.CertificateFailed) as err:
+        contraction._bisect(*args)
+    assert err.value.point == want.value.point == (0.0859375, 0.109375, -0.0703125, 0.0859375)
+    assert err.value.max_gap == want.value.max_gap and err.value.reason == "bisection corner"
+
+
+_FAILURES = {
+    "cross4": (lambda: bh.make_cross_polytope(4), {}, (-1.0, -1.0, -0.75, -0.5), 0.0,
+               "grid minimum"),
+    "bisection-corner": (
+        bh.make_rotated_cross_polytope,
+        dict(gap_threshold=0.02, box_halfwidth=2.0, grid_n=21, eps_set=(0.05,), extra_planes=4),
+        (-0.125, 0.0, -0.25, -0.125), 0.013812251522859476, "bisection corner"),
+    "budget": (
+        bh.make_rotated_cross_polytope, dict(gap_threshold=0.0139, grid_n=21, extra_planes=8),
+        (-0.080078125, -0.080078125, 0.080078125, -0.080078125), 0.012393184138640519,
+        "bisection budget of 160000 cells exhausted with 3074 cells open"),
+}
+
+
+@pytest.mark.parametrize("table", [None, 3 * 81 * 17], ids=["one-chunk", "chunks-of-lattices"])
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_certificate_failures_are_pinned(case, table, monkeypatch):
+    # a failing bisection corner is the least of its level, whatever the chunking
+    make_body, kwargs, point, max_gap, reason = _FAILURES[case]
+    if table is not None:
+        monkeypatch.setattr(contraction, "_TABLE", table)
+    with pytest.raises(bh.CertificateFailed) as err:
+        bh.certify_no_contraction(make_body(), threads=1, **kwargs)
+    assert err.value.point == point
+    assert err.value.max_gap == max_gap and err.value.reason == reason
+
+
+def test_default_certificate_is_pinned(body_c):
+    cert = bh.certify_no_contraction(body_c, threads=1)
+    assert cert.box["cells_per_level"] == [1, 16, 192, 192, 192, 192, 192, 128, 128, 384]
+    assert cert.global_min_max_gap.hex() == "0x1.75168bd3d0f89p-10"
+    assert sum(cert.witness_counts.values()) == 1516
+    cert = bh.certify_no_contraction(body_c, threads=1, gap_threshold=0.01)
+    assert cert.box["cells_per_level"] == [1, 16, 192, 192, 192, 192, 192, 800, 1600, 6336, 9936]
 
 
 def test_verified_cells_bound_sampled_family_gaps(body_c):

@@ -173,6 +173,17 @@ def test_random_plane_rejects_dimension_before_drawing(n):
         bh.random_planes(0, n, 3)
 
 
+@pytest.mark.parametrize("count", [0, 1, 64])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_random_planes_are_random_plane_streams(seed, count):
+    # one re-keyed generator draws what a fresh generator per stream draws, redraws included
+    planes = bh.random_planes(seed, 4, count)
+    want = [bh.random_plane(seed, 4, stream=i) for i in range(count)]
+    assert len(planes) == count
+    for got, pl in zip(planes, want):
+        assert got.u.tobytes() == pl.u.tobytes() and got.v.tobytes() == pl.v.tobytes()
+
+
 def test_random_plane_rotation_invariant_moment():
     vals = [bh.random_plane(5, 4, stream=i).u[0] ** 2 for i in range(10_000)]
     assert abs(np.mean(vals) - 0.25) < 0.02
