@@ -106,7 +106,11 @@ def parse_plane(text: str, n: int) -> Plane2:
         except (ValueError, BHDensityError) as exc:
             raise UsageError(f"bad plane {text!r}: {exc}")
     if text.startswith("random:"):
-        return random_plane(int(text.split(":", 1)[1]), n)
+        try:
+            seed = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"bad plane {text!r}: {exc}")
+        return random_plane(seed, n)
     nums = _parse_floats(text)
     if len(nums) != 2 * n:
         raise UsageError(

@@ -130,16 +130,15 @@ def dot_rows(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def degenerate_rows(a, b) -> np.ndarray:
+def degenerate_rows(a, b, defect: float | None = None) -> np.ndarray:
     """True where a pair of vectors along the last axis spans no plane.
 
     That is a zero vector, or a relative 2x2 Gram determinant at or below
-    TOL.span_defect.
+    `defect` (TOL.span_defect when unset).
     """
-    na2 = dot_rows(a, a)
-    nb2 = dot_rows(b, b)
-    ab = dot_rows(a, b)
-    return (na2 == 0.0) | (nb2 == 0.0) | (na2 * nb2 - ab * ab <= TOL.span_defect * na2 * nb2)
+    defect = TOL.span_defect if defect is None else defect
+    na2, nb2, ab = dot_rows(a, a), dot_rows(b, b), dot_rows(a, b)
+    return (na2 == 0.0) | (nb2 == 0.0) | (na2 * nb2 - ab * ab <= defect * na2 * nb2)
 
 
 def gram_schmidt_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -264,44 +263,50 @@ def _philox_streams(seed):
     return keyed
 
 
-def _draw_plane(gen: np.random.Generator, n: int) -> Plane2:
-    """Gram-Schmidt of the first pair of standard normal n-vectors from ``gen``
-    that spans a plane firmly; a near-degenerate pair is redrawn from ``gen``.
-    Raises UnsupportedDimension, before drawing, for n outside 2..8."""
+def _stream_rows(seed: int, streams, width: int, redraw) -> np.ndarray:
+    """Rows (len(streams), width): row k is the first `width` normals of
+    `_philox(seed, streams[k])`, drawn through one `_philox_streams` generator,
+    and takes the next `width` of its own stream while `redraw(rows, X[rows])`
+    flags it, so a row depends only on (seed, stream)."""
+    keyed = _philox_streams(seed)
+    X = np.empty((len(streams), width))
+    for row, stream in zip(X, streams):
+        keyed(stream).standard_normal(out=row)
+    rows, draws = np.arange(len(streams)), 1
+    while rows.size:
+        rows, draws = rows[redraw(rows, X[rows])], draws + 1
+        for k in rows:
+            X[k] = keyed(streams[k]).standard_normal(width * draws)[-width:]
+    return X
+
+
+def _plane_rows(seed: int, n: int, streams) -> list[Plane2]:
+    """`random_plane` of each stream, as one batch; n is checked before drawing."""
     if not 2 <= n <= MAX_DIM:
         raise UnsupportedDimension(f"dimension {n} outside 2..{MAX_DIM}")
-    while True:
-        a = gen.standard_normal(n)
-        b = gen.standard_normal(n)
-        na2 = float(np.dot(a, a))
-        nb2 = float(np.dot(b, b))
-        if na2 == 0.0 or nb2 == 0.0:
-            continue
-        gram = na2 * nb2 - float(np.dot(a, b)) ** 2
-        if gram < TOL.resample_defect * na2 * nb2:
-            continue
-        return gram_schmidt(a, b)
+    ab = _stream_rows(seed, streams, 2 * n,
+                      lambda _, x: degenerate_rows(x[:, :n], x[:, n:], TOL.resample_defect))
+    return [Plane2(u, v) for u, v in zip(*gram_schmidt_rows(ab[:, :n], ab[:, n:]))]
 
 
 def random_plane(seed: int, n: int, stream: int | None = None) -> Plane2:
     """Uniform (rotation-invariant) random 2-plane from a counter-based RNG.
 
     Gram-Schmidt applied to two standard Gaussian vectors; identical
-    (seed, stream) always yields the identical plane.  Near-degenerate
-    draws are redrawn from the same stream.  Raises UnsupportedDimension for n
-    outside 2..8 and ValueError for a seed or stream outside [0, 2**64).
+    (seed, stream) always yields the identical plane.  A pair that
+    `degenerate_rows` flags at TOL.resample_defect is redrawn from the same
+    stream.  Raises UnsupportedDimension for n outside 2..8 and ValueError
+    for a seed or stream outside [0, 2**64).
     """
     check_seed(seed, stream)
-    return _draw_plane(_philox(seed, stream), n)
+    return _plane_rows(seed, n, [stream])[0]
 
 
 def random_planes(seed: int, n: int, count: int) -> list[Plane2]:
-    """Independent reproducible planes, one counter stream per index: bitwise
-    ``[random_plane(seed, n, stream=i) for i in range(count)]``, drawn through
-    one re-keyed `_philox_streams` generator."""
+    """Planes of streams 0..count-1, drawn as one batch: bitwise
+    ``[random_plane(seed, n, stream=i) for i in range(count)]``."""
     check_seed(seed)
-    keyed = _philox_streams(seed)
-    return [_draw_plane(keyed(i), n) for i in range(count)]
+    return _plane_rows(seed, n, range(count))
 
 
 def grassmann_distance(p: Plane2, q: Plane2) -> float:

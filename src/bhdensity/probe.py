@@ -8,9 +8,8 @@ covers every two-term simple decomposition up to degenerate cases.
 Violations are findings, not errors.
 
 Every trial draws from its own Philox stream (seed, trial index) through
-one kernel, `_shared_line_rows`, which re-keys a single bit generator per
-call from stream to stream, so a trial's triple does not depend on how
-the scan is cut up.  Scans run the geometry as array operations over chunks
+geom's keyed-draw kernel, so a trial's triple does not depend on how the
+scan is cut up.  Scans run the geometry as array operations over chunks
 of `_CHUNK` trials; one reduction merges the chunks' slacks and keeps the
 worst trial's triple, so a scan's memory does not grow with its trial count.
 """
@@ -26,7 +25,7 @@ from .density import bh_density_codim2
 from .errors import DimensionMismatch
 from .geom import (
     Bivector,
-    _philox_streams,
+    _stream_rows,
     check_seed,
     dot_rows,
     gram_schmidt_rows,
@@ -73,35 +72,26 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def _shared_line_rows(seed: int, n: int, streams):
     """Vectors (m, 3, n) and normalized triples (m, 3, n(n-1)/2) of the given streams.
 
-    Row k holds (u, v, t), 3n normals of `_philox(seed, streams[k])` drawn
-    through one `_philox_streams` generator, and
-    (w, w1, w2) = (u^(v+t), u^v, u^t) scaled to |w| = 1; the planes of w1
+    Row k holds (u, v, t), the 3n normals `_stream_rows` draws from stream k,
+    and (w, w1, w2) = (u^(v+t), u^v, u^t) scaled to |w| = 1; the planes of w1
     and w2 share the line through u, so w is simple too.  A draw with |w|,
-    |w1| or |w2| below 1e-6 is replaced by the next 3n normals of its own
-    stream, so a row depends only on (seed, stream).
+    |w1| or |w2| below 1e-6 is redrawn.
     """
     if n not in (4, 6):
         raise DimensionMismatch("decomposition trials are drawn in dimension 4 or 6")
-    streams = list(streams)
-    keyed = _philox_streams(seed)
-    uvt = np.empty((len(streams), 3 * n))
-    for row, stream in zip(uvt, streams):
-        keyed(stream).standard_normal(out=row)
     triple = np.empty((len(streams), 3, n * (n - 1) // 2))
-    rows, draws = np.arange(len(streams)), 1
-    while rows.size:
-        u, v, t = uvt[rows, :n], uvt[rows, n : 2 * n], uvt[rows, 2 * n :]
-        w1 = wedge_rows(u, v)
-        w2 = wedge_rows(u, t)
+
+    def redraw(rows, uvt):
+        u, v, t = uvt[:, :n], uvt[:, n : 2 * n], uvt[:, 2 * n :]
+        w1, w2 = wedge_rows(u, v), wedge_rows(u, t)
         scale = _norms(w1 + w2)
-        redraw = (np.minimum(_norms(w1), _norms(w2)) < 1e-6) | (scale < 1e-6)
-        inv = 1.0 / np.where(redraw, 1.0, scale)[:, None]
+        bad = (np.minimum(_norms(w1), _norms(w2)) < 1e-6) | (scale < 1e-6)
+        inv = 1.0 / np.where(bad, 1.0, scale)[:, None]
         w1, w2 = w1 * inv, w2 * inv
         triple[rows] = np.stack((w1 + w2, w1, w2), axis=1)
-        rows, draws = rows[redraw], draws + 1
-        for k in rows:
-            uvt[k] = keyed(streams[k]).standard_normal(3 * n * draws)[-3 * n :]
-    return uvt.reshape(-1, 3, n), triple
+        return bad
+
+    return _stream_rows(seed, streams, 3 * n, redraw).reshape(-1, 3, n), triple
 
 
 def shared_line_decomposition(seed: int, n: int, stream: int | None = None):

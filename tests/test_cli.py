@@ -224,6 +224,14 @@ def test_nan_plane_epsilon_is_error(capsys):
     assert err.startswith("usage error: bad plane") and "epsilon must satisfy" in err
 
 
+@pytest.mark.parametrize("plane", ["random:abc", "random:", "random:1.5"])
+def test_unparsable_random_plane_seed_is_usage_error(plane, capsys):
+    # an integer seed outside [0, 2**64) stays an "error:" (test_seed_out_of_range_is_error)
+    assert main(["section", "--body", "rotated-cross4", "--plane", plane]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: bad plane {plane!r}") and "invalid literal" in err
+
+
 def test_codim2_zero_samples_is_error(capsys):
     args = ["density", "--body", "cross4", "--bivector", "1,0,0,0,0,0", "--codim2"]
     assert main(args + ["--mc-samples", "0"]) == 1

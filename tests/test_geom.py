@@ -7,6 +7,7 @@ import pytest
 import bhdensity as bh
 from bhdensity import density, probe
 from bhdensity.geom import _philox, _philox_streams, degenerate_rows
+from bhdensity.tolerances import TOL
 from conftest import hodge_loop
 
 E = np.eye(4)
@@ -169,8 +170,9 @@ def test_random_plane_rejects_dimension_before_drawing(n):
     # n = 0 and n = 1 never give a spanning pair, so the draw loop would not end
     with pytest.raises(bh.UnsupportedDimension):
         bh.random_plane(0, n)
-    with pytest.raises(bh.UnsupportedDimension):
-        bh.random_planes(0, n, 3)
+    for count in (0, 3):
+        with pytest.raises(bh.UnsupportedDimension):
+            bh.random_planes(0, n, count)
 
 
 @pytest.mark.parametrize("count", [0, 1, 64])
@@ -182,6 +184,38 @@ def test_random_planes_are_random_plane_streams(seed, count):
     assert len(planes) == count
     for got, pl in zip(planes, want):
         assert got.u.tobytes() == pl.u.tobytes() and got.v.tobytes() == pl.v.tobytes()
+
+
+def _reference_plane(seed, n, stream):
+    """A plane and its draw count, one stream at a time: pairs of n normals are
+    drawn until their relative Gram determinant exceeds TOL.resample_defect."""
+    gen = _philox(seed, stream)
+    draws = 0
+    while True:
+        a, b = gen.standard_normal(n), gen.standard_normal(n)
+        draws += 1
+        na2, nb2, ab = np.dot(a, a), np.dot(b, b), np.dot(a, b)
+        if na2 > 0.0 and nb2 > 0.0 and na2 * nb2 - ab * ab > TOL.resample_defect * na2 * nb2:
+            return bh.gram_schmidt(a, b), draws
+
+
+@pytest.mark.parametrize("defect", [None, 0.3, 0.9], ids=["default", "0.3", "0.9"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_random_planes_match_per_stream_reference(monkeypatch, n, seed, defect):
+    # a defect of 0.3 or 0.9 forces redraws, which never happen at the default
+    if defect is not None:
+        monkeypatch.setattr(TOL, "resample_defect", defect)
+    want, draws = zip(*(_reference_plane(seed, n, i) for i in range(300)))
+    assert (max(draws) > 1) == (defect is not None)
+    for count in (0, 1, 300):
+        planes = bh.random_planes(seed, n, count)
+        single = [bh.random_plane(seed, n, stream=i) for i in range(count)]
+        assert len(planes) == len(single) == count
+        for got, one, pl in zip(planes, single, want):
+            bits = pl.u.tobytes() + pl.v.tobytes()
+            assert got.u.tobytes() + got.v.tobytes() == bits
+            assert one.u.tobytes() + one.v.tobytes() == bits
 
 
 def test_random_plane_rotation_invariant_moment():

@@ -148,7 +148,7 @@ def test_batched_draw_redraws_degenerate_stream(monkeypatch):
             gen = _philox(seed, stream)
             return _DegenerateFirstDraw(gen, n) if stream == 5 else gen
 
-        monkeypatch.setattr(probe, "_philox_streams", lambda seed: partial(philox, seed))
+        monkeypatch.setattr(geom, "_philox_streams", lambda seed: partial(philox, seed))
         monkeypatch.setattr(geom, "_philox", philox)
         uvt, triples = probe._shared_line_rows(3, n, range(10))
         vecs, triple = per_trial_draw(3, n, 5)
