@@ -151,11 +151,6 @@ def _complex_lp_power(XT: np.ndarray, p: float, q: float) -> np.ndarray:
     return sum(sq ** (p / 2.0)) ** (q / p)
 
 
-def _complex_lp_gauge(X: np.ndarray, p: float) -> np.ndarray:
-    """(sum_j |z_j|^p)^(1/p) over the interleaved pairs of the rows of X."""
-    return _complex_lp_power(X.T, p, 1.0)
-
-
 def gauge_power(body: Body, XT: np.ndarray, q: float) -> np.ndarray:
     """gauge(x)^q for the columns x of XT, an (n, N) array, as N values.
 
@@ -194,15 +189,15 @@ def minkowski_many(body: Body, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != body.n:
         raise DimensionMismatch(f"expected shape (m, {body.n}), got {X.shape}")
-    with np.errstate(over="ignore", under="ignore"):
-        val = gauge_power(body, X.T, 1.0)
     # outside [1/t, t] a square or power may have left the normal floats; the
     # gauge is 1-homogeneous, so such rows are redone after an exact rescale
     t = 2.0 ** (900.0 / _largest_power(body))
-    if val.size and not (val.min() >= 1.0 / t and val.max() <= t):
-        off = ~((val >= 1.0 / t) & (val <= t))
-        _, exp = np.frexp(np.abs(X[off]).max(axis=1))
-        val[off] = np.ldexp(gauge_power(body, np.ldexp(X[off], -exp[:, None]).T, 1.0), exp)
+    with np.errstate(over="ignore", under="ignore"):
+        val = gauge_power(body, X.T, 1.0)
+        if val.size and not (val.min() >= 1.0 / t and val.max() <= t):
+            off = ~((val >= 1.0 / t) & (val <= t))
+            _, exp = np.frexp(np.abs(X[off]).max(axis=1))
+            val[off] = np.ldexp(gauge_power(body, np.ldexp(X[off], -exp[:, None]).T, 1.0), exp)
     return val
 
 

@@ -240,11 +240,12 @@ def projection_pinning(body: Body, eps: float) -> PinningReport:
     """
     if not (0.0 < eps <= 0.1):
         raise ValueError("eps must lie in (0, 0.1]")
-    w0_area = cross_section(body, w0_plane(body.n)).euclidean_area
+    planes = [w0_plane()] + [named_plane(idx, eps) for idx in range(1, 9)]
+    U, V = np.array([pl.u for pl in planes]), np.array([pl.v for pl in planes])
+    w0_area, *areas = section_areas(body, U, V)
 
     def t_star(idx):
-        area = cross_section(body, named_plane(idx, eps)).euclidean_area
-        return 2.0 / eps * (math.sqrt(w0_area * (1.0 + eps * eps) / area) - 1.0)
+        return 2.0 / eps * (math.sqrt(w0_area * (1.0 + eps * eps) / areas[idx - 1]) - 1.0)
 
     intervals = {}
     for combo, (first, second) in _PIN_PAIRS.items():

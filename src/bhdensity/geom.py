@@ -52,6 +52,17 @@ def _lex_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+def check_plane_basis(uu, vv, uv) -> None:
+    """The plane-basis rule on the dot products u.u, v.v and u.v (numpy scalars of one
+    basis, or arrays over rows of bases): unit length within 3 TOL.geometric and
+    orthogonality within TOL.geometric, or DegenerateSpan; NaN fails."""
+    tol = TOL.geometric
+    if not ((abs(uu - 1.0) <= 3.0 * tol) & (abs(vv - 1.0) <= 3.0 * tol)).all():
+        raise DegenerateSpan("plane basis vectors must be unit length")
+    if not (abs(uv) <= tol).all():
+        raise DegenerateSpan("plane basis vectors must be orthogonal")
+
+
 @dataclass(frozen=True)
 class Plane2:
     """Oriented 2-plane given by an ordered orthonormal pair (u, v)."""
@@ -62,11 +73,7 @@ class Plane2:
     def __post_init__(self):
         u = as_vec(self.u)
         v = as_vec(self.v, u.size)
-        tol = TOL.geometric
-        if abs(np.dot(u, u) - 1.0) > 3.0 * tol or abs(np.dot(v, v) - 1.0) > 3.0 * tol:
-            raise DegenerateSpan("plane basis vectors must be unit length")
-        if abs(np.dot(u, v)) > tol:
-            raise DegenerateSpan("plane basis vectors must be orthogonal")
+        check_plane_basis(np.dot(u, u), np.dot(v, v), np.dot(u, v))
         u.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "u", u)

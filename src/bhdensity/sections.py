@@ -4,13 +4,13 @@ Abs-sum bodies {x : sum_j |l_j(x)| <= 1} have one exact section kernel,
 `section_fan`.  Restricted to a plane, the gauge bends only on the kink
 rays where some restricted functional vanishes, so the section polygon's
 vertices are the gauge-normalized points on those rays sorted by angle:
-O(k^2) work for k functionals.  Smooth bodies are sampled radially.
+O(k^2) work for k functionals.  Smooth bodies have one radial-rule kernel.
 
-`section_areas` is the one batched area entry point: it sends abs-sum
-bodies through the kernel in one call and every other body through
-`cross_section` plane by plane.  The certificate and the semi-ellipticity
-probe score their planes through it.  A plane's area is bitwise the same
-alone, in any batch and in `cross_section`.
+`section_areas` is the one batched area entry point and `cross_section` its
+one-plane view with the polygon: abs-sum bodies take `section_fan`, product
+planes inside the left factor the factor's section, other planes the radial
+kernel.  The certificate and the semi-ellipticity probe call `section_areas`;
+a plane's area is bitwise the same alone, in any batch and in `cross_section`.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,10 @@ import numpy as np
 
 from .bodies import AbsSumBody, Body, minkowski_many
 from .errors import DimensionMismatch, UnboundedSection
-from .geom import Plane2
+from .geom import Plane2, check_plane_basis, dot_rows
 from .tolerances import TOL
+
+_RAY_CHUNK = 1 << 16  # rays per gauge call of the radial rule: 16 planes at N = 4096
 
 
 @dataclass(frozen=True)
@@ -116,17 +118,22 @@ def section_fan(A: np.ndarray, Bc: np.ndarray):
     return 0.5 * np.abs(twice), z, keep
 
 
-def _radial_section(body: Body, plane: Plane2, n_angles: int):
-    # periodic rectangle rule on the polar area integrand r^2/2; error is
-    # O(N^-2) for convex sections and vanishes for discs, which keeps the
-    # default N = 4096 inside the documented 1e-6 disc accuracy
+def _radial_areas(body: Body, U: np.ndarray, V: np.ndarray, n_angles: int):
+    # (areas, theta, r = 1/gauge of shape (m, N)) by the periodic rectangle rule on r^2/2 over
+    # N rays: error O(N^-2) for convex sections and none for discs, inside 1e-6 at N = 4096
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    # coordinate-major (n, N) rays, so the gauge reads contiguous rows
-    rays = plane.u[:, None] * np.cos(theta) + plane.v[:, None] * np.sin(theta)
-    r = 1.0 / minkowski_many(body, rays.T)
-    area = float(np.pi / n_angles * np.dot(r, r))
-    verts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    return SectionReport(Polygon2(verts), area, f"radial({n_angles})")
+    # coordinate-major (n, m, N) rays, so the gauge reads contiguous rows
+    rays = np.ascontiguousarray(U.T)[:, :, None] * np.cos(theta)
+    rays += np.ascontiguousarray(V.T)[:, :, None] * np.sin(theta)
+    r = 1.0 / minkowski_many(body, rays.reshape(body.n, -1).T).reshape(len(U), n_angles)
+    return np.pi / n_angles * dot_rows(r, r), theta, r
+
+
+def _in_left_factor(body: Body, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows within 1e-13 of a product body's left factor, which take the factor's section."""
+    if isinstance(body, AbsSumBody) or body.kind != "product":
+        return np.zeros(len(U), dtype=bool)
+    return np.abs(np.stack((U, V), axis=1)[:, :, body.left.n :]).max(axis=(1, 2)) <= 1e-13
 
 
 def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> SectionReport:
@@ -146,32 +153,52 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
         areas, z, keep = section_fan(coeffs[None, :, 0], coeffs[None, :, 1])
         polygon = Polygon2(np.column_stack((z.real[keep], z.imag[keep])))
         return SectionReport(polygon, float(areas[0]), "exact-halfplane")
-    if body.kind == "product":
+    if _in_left_factor(body, plane.u[None, :], plane.v[None, :])[0]:
         nl = body.left.n
-        tail = max(np.abs(plane.u[nl:]).max(initial=0.0), np.abs(plane.v[nl:]).max(initial=0.0))
-        if tail <= 1e-13:
-            return cross_section(body.left, Plane2(plane.u[:nl], plane.v[:nl]), radial_n)
-    return _radial_section(body, plane, TOL.radial_n if radial_n is None else radial_n)
+        return cross_section(body.left, Plane2(plane.u[:nl], plane.v[:nl]), radial_n)
+    n_angles = TOL.radial_n if radial_n is None else radial_n
+    areas, theta, r = _radial_areas(body, plane.u[None, :], plane.v[None, :], n_angles)
+    verts = np.column_stack((r[0] * np.cos(theta), r[0] * np.sin(theta)))
+    return SectionReport(Polygon2(verts), float(areas[0]), f"radial({n_angles})")
+
+
+def _as_plane_rows(U, V, n: int):
+    """U and V as float arrays of one shape (m, n); DimensionMismatch otherwise."""
+    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+    if U.ndim != 2 or U.shape[1] != n or V.shape != U.shape:
+        raise DimensionMismatch(f"plane rows must have shape (m, {n}), got {U.shape} and {V.shape}")
+    return U, V
 
 
 def abs_sum_section_areas(functionals: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Exact section areas for one abs-sum body over a batch of planes.
 
-    U, V hold orthonormal plane bases row-wise.  This is the `section_fan`
-    kernel on the restricted functionals, so the areas are bitwise those of
-    `cross_section` on the same planes, whatever the batch.
+    U, V hold orthonormal plane bases row-wise, of shape (m, n) for n
+    columns of functionals (DimensionMismatch otherwise).  This is the
+    `section_fan` kernel on the restricted functionals, so the areas are
+    bitwise those of `cross_section` on the same planes, whatever the batch.
     """
     L = np.asarray(functionals, dtype=float)
-    return section_fan(_restrict(L, np.asarray(U, dtype=float)),
-                       _restrict(L, np.asarray(V, dtype=float)))[0]
+    U, V = _as_plane_rows(U, V, L.shape[-1])
+    return section_fan(_restrict(L, U), _restrict(L, V))[0]
 
 
 def section_areas(body: Body, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Euclidean areas of body cut by span(U[i], V[i]) for orthonormal rows U[i], V[i].
 
-    Abs-sum bodies take `abs_sum_section_areas` (exact, one batched call);
-    other bodies take `cross_section` per plane.
+    The rows must have shape (m, body.n) (DimensionMismatch) and pass
+    `check_plane_basis` (DegenerateSpan).  Abs-sum bodies take
+    `abs_sum_section_areas` (exact, one batched call); a product plane inside
+    the left factor takes the factor's area; the rest take the radial rule.
     """
+    U, V = _as_plane_rows(U, V, body.n)
+    check_plane_basis(*(np.einsum("ij,ij->i", a, b) for a, b in ((U, U), (V, V), (U, V))))
     if isinstance(body, AbsSumBody):
         return abs_sum_section_areas(body.functionals, U, V)
-    return np.array([cross_section(body, Plane2(u, v)).euclidean_area for u, v in zip(U, V)])
+    areas, left = np.empty(len(U)), _in_left_factor(body, U, V)
+    if left.any():
+        areas[left] = section_areas(body.left, U[left, : body.left.n], V[left, : body.left.n])
+    rest, step = np.flatnonzero(~left), max(1, _RAY_CHUNK // TOL.radial_n)
+    for rows in np.split(rest, range(step, rest.size, step)):
+        areas[rows] = _radial_areas(body, U[rows], V[rows], TOL.radial_n)[0]
+    return areas

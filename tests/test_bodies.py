@@ -1,9 +1,10 @@
+import warnings
 
 import numpy as np
 import pytest
 
 import bhdensity as bh
-from bhdensity.bodies import _complex_lp_gauge, gauge_power, minkowski_many
+from bhdensity.bodies import gauge_power, minkowski_many
 from conftest import SQRT2
 
 
@@ -97,7 +98,15 @@ def test_complex_gauge_bits_match_two_branch_formula(p, k):
         ref = np.sqrt(sq).sum(axis=1)
     else:
         ref = (sq ** (p / 2.0)).sum(axis=1) ** (1.0 / p)
-    assert _complex_lp_gauge(X, p).tobytes() == ref.tobytes()
+    assert gauge_power(bh.make_complex_lp(p, k), X.T, 1.0).tobytes() == ref.tobytes()
+
+
+def test_huge_p_is_refused_without_floating_point_warnings():
+    # at p = 5000 every spot-check row takes the rescale pass, whose powers overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not positively homogeneous"):
+            bh.make_complex_lp(5000, 2)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])

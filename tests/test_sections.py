@@ -9,6 +9,11 @@ from bhdensity.bodies import minkowski_many
 from conftest import SQRT2, W0_AREA, clipped_section_area, embed_plane, random_abs_sum_body
 
 
+def _radial_area(body, pl, n_angles):
+    # the batched radial rule on one plane
+    return sections._radial_areas(body, pl.u[None, :], pl.v[None, :], n_angles)[0][0]
+
+
 def test_w0_constraints(body_c):
     coeffs = bh.section_constraints(body_c, bh.w0_plane(4))
     s = 1.0 / SQRT2
@@ -83,7 +88,7 @@ def test_exact_vs_radial_agreement(body_c):
     for i in range(50):
         pl = bh.random_plane(123, 4, stream=i)
         exact = bh.cross_section(body_c, pl).euclidean_area
-        radial = sections._radial_section(body_c, pl, 4096).euclidean_area
+        radial = _radial_area(body_c, pl, 4096)
         assert abs(exact - radial) <= 5e-6 * exact
 
 
@@ -163,14 +168,60 @@ def test_radial_n_below_three_is_refused(ball4, radial_n):
         bh.cross_section(ball4, bh.w0_plane(4), radial_n)
 
 
-@pytest.mark.parametrize("radial_n", [None])
-def test_section_areas_smooth_bodies_are_cross_section(ball4, radial_n):
-    # smooth bodies take cross_section plane by plane: the same numbers
-    for seed, body in enumerate((ball4, bh.make_complex_lp(3.0, 2))):
-        planes = bh.random_planes(seed, 4, 64)
+@pytest.mark.parametrize("radial_n", [None, 1000])
+def test_section_areas_smooth_bodies_are_cross_section(ball4, radial_n, monkeypatch):
+    # the batched radial rule gives cross_section's bits over several ray chunks (16 planes
+    # each at 4096 angles, 65 at 1000), and a product plane inside the left factor takes the
+    # factor's exact section in a batch as alone
+    if radial_n is not None:
+        monkeypatch.setattr(bh.TOL, "radial_n", radial_n)
+    prod = bh.make_product(bh.make_cross_polytope(4), 2)
+    for seed, body in enumerate((ball4, bh.make_complex_lp(3.0, 2), prod)):
+        planes = bh.random_planes(seed, body.n, 150)
+        if body is prod:
+            inside = bh.random_planes(seed, 4, 50)
+            planes[::3] = [embed_plane(pl, 6) for pl in inside]
         areas = bh.section_areas(body, *_plane_rows(planes))
         exact = [bh.cross_section(body, pl, radial_n).euclidean_area for pl in planes]
         assert areas.tolist() == exact
+    # the product batch starts with a plane inside the left factor and one outside
+    methods = [bh.cross_section(prod, pl).method for pl in planes[:2]]
+    assert methods == ["exact-halfplane", f"radial({bh.TOL.radial_n})"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        bh.make_rotated_cross_polytope,
+        lambda: bh.make_euclidean_ball(4),
+        lambda: bh.make_complex_lp(1.5, 2),
+        lambda: bh.make_product(bh.make_cross_polytope(4), 2),
+    ],
+    ids=["rotated-cross4", "euclidean4", "complex-lp-1.5-2", "product-cross4-2"],
+)
+def test_section_areas_refuse_bad_rows(make):
+    # every body class checks its rows once: shape (m, body.n), then Plane2's basis rule
+    body = make()
+    U, V = _plane_rows(bh.random_planes(3, body.n, 4))
+    pad = np.zeros((4, 1))
+    for bad in ((np.hstack((U, pad)), np.hstack((V, pad))), (U, V[:3]), (U[0], V[0])):
+        with pytest.raises(bh.DimensionMismatch):
+            bh.section_areas(body, *bad)
+    for row, scale, message in ((1, 2.0, "unit length"), (2, np.nan, "unit length")):
+        scaled = U.copy()
+        scaled[row] *= scale
+        with pytest.raises(bh.DegenerateSpan, match=message):
+            bh.section_areas(body, scaled, V)
+    skew = V.copy()
+    skew[0] = (U[0] + V[0]) / SQRT2
+    with pytest.raises(bh.DegenerateSpan, match="orthogonal"):
+        bh.section_areas(body, U, skew)
+
+
+def test_abs_sum_section_areas_refuse_rows_of_another_dimension(body_c):
+    U, V = _plane_rows(bh.random_planes(3, 5, 4))
+    with pytest.raises(bh.DimensionMismatch):
+        bh.abs_sum_section_areas(body_c.functionals, U, V)
 
 
 def _assert_distinct_vertices(vertices):
@@ -204,7 +255,7 @@ def test_many_functionals_section():
     for i in range(3):
         pl = bh.random_plane(24, 4, stream=i)
         rep = bh.cross_section(body, pl)
-        radial = sections._radial_section(body, pl, 4096).euclidean_area
+        radial = _radial_area(body, pl, 4096)
         assert abs(rep.euclidean_area - radial) <= 5e-6 * rep.euclidean_area
         assert len(rep.polygon.vertices) == 48
         _assert_distinct_vertices(rep.polygon.vertices)
@@ -229,7 +280,7 @@ def test_radial_section_bits_match_row_major_rays(make):
         rays = np.cos(theta)[:, None] * pl.u[None, :] + np.sin(theta)[:, None] * pl.v[None, :]
         r = 1.0 / minkowski_many(body, rays)
         area = float(np.pi / n_angles * np.dot(r, r))
-        assert sections._radial_section(body, pl, n_angles).euclidean_area == area
+        assert _radial_area(body, pl, n_angles) == area
 
 
 def test_product_plane_delegation(body_c):
