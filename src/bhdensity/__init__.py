@@ -81,7 +81,6 @@ from .sections import (
     abs_sum_section_areas,
     cross_section,
     section_areas,
-    section_constraints,
     shoelace_area,
 )
 from .tolerances import TOL, Tolerances

@@ -43,7 +43,7 @@ from .density import bh_density_2, bh_density_codim2
 from .errors import BHDensityError, CertificateFailed
 from .geom import Bivector, Plane2, gram_schmidt, random_plane
 from .probe import semi_ellipticity_scan
-from .sections import cross_section
+from .sections import cross_section, section_areas
 
 
 class UsageError(Exception):
@@ -222,7 +222,8 @@ def cmd_lemmas(args):
         fam = f"v{idx}v{idx + 1}"
 
         def exact_area(eps, idx=idx):
-            return cross_section(body, named_plane(idx, eps)).euclidean_area
+            plane = named_plane(idx, eps)
+            return section_areas(body, plane.u[None], plane.v[None]).item()
 
         _, c_fit, _ = taylor_fit(exact_area, eps_grid)
         for eps in eps_grid:

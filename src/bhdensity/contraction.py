@@ -30,7 +30,7 @@ import numpy as np
 from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
 from .geom import Plane2, check_seed, gram_schmidt, random_planes, wedge_rows
-from .sections import cross_section, section_areas
+from .sections import section_areas
 
 SQRT2 = np.sqrt(2.0)
 
@@ -132,9 +132,7 @@ def area_factor(p: ProjectionW0, plane: Plane2) -> float:
     return float(abs(_signed_factors(p.a, p.b, p.c, p.d, wedge_rows(plane.u[:4], plane.v[:4]))))
 
 
-def contraction_gap(
-    body: Body, p: ProjectionW0, plane: Plane2, w0_area: float | None = None
-) -> float:
+def contraction_gap(body: Body, p: ProjectionW0, plane: Plane2) -> float:
     """lambda * H^2(body cut plane) - H^2(body cut W0).
 
     Positive values witness that the projection increases the normed
@@ -143,10 +141,9 @@ def contraction_gap(
     if plane.n != body.n:
         raise DimensionMismatch("body and plane dimensions differ")
     lam = area_factor(p, plane)
-    area_v = cross_section(body, plane).euclidean_area
-    if w0_area is None:
-        w0_area = cross_section(body, w0_plane(body.n)).euclidean_area
-    return lam * area_v - w0_area
+    w0 = w0_plane(body.n)
+    area_v, w0_area = section_areas(body, np.stack((plane.u, w0.u)), np.stack((plane.v, w0.v)))
+    return float(lam * area_v - w0_area)
 
 
 def lemma_lower_bound(family: str, eps: float) -> float:

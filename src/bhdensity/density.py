@@ -16,6 +16,7 @@ convexity statement).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .geom import (
     hodge_star_codim,
     plucker_defect,
 )
-from .sections import cross_section
+from .sections import section_areas
 from .tolerances import TOL
 
 
@@ -89,15 +90,15 @@ def bh_density_2(body: Body, w: Bivector) -> DensityValue:
     if w.n != body.n:
         raise DimensionMismatch("bivector and body dimensions differ")
     plane = plane_from_bivector(w)
-    area = cross_section(body, plane).euclidean_area
+    area = section_areas(body, plane.u[None], plane.v[None]).item()
     return DensityValue(math.pi * w.norm / area, body.label, w.norm)
 
 
 def bh_area(body: Body, plane: Plane2, euclidean_area: float) -> float:
     """Normed 2-measure of a planar set of the given Euclidean area."""
-    if euclidean_area < 0.0:
-        raise ValueError("euclidean_area must be nonnegative")
-    return math.pi * euclidean_area / cross_section(body, plane).euclidean_area
+    if not (math.isfinite(euclidean_area) and euclidean_area >= 0.0):
+        raise ValueError(f"euclidean_area must be finite and nonnegative, got {euclidean_area}")
+    return math.pi * euclidean_area / section_areas(body, plane.u[None], plane.v[None]).item()
 
 
 def _orthocomplement(plane: Plane2) -> np.ndarray:
@@ -142,12 +143,17 @@ def mc_section_volume(
     their standard error over the shifts (63 degrees of freedom), floored at
     TOL.mc_rounding_rel of the volume, the rounding the spread cannot see.
     Below 64 samples no shift has a point: the volume is nan and the stderr
-    infinite.  Raises ValueError for n_samples < 1, a seed outside
-    [0, 2**64) or basis columns that are not orthonormal to TOL.geometric,
-    and DimensionMismatch unless basis has body.n rows.
+    infinite.  Raises ValueError for n_samples other than an integer >= 1
+    (numpy integers count, 1e5 does not), a seed outside [0, 2**64) or basis
+    columns that are not orthonormal to TOL.geometric, and DimensionMismatch
+    unless basis has body.n rows.
     """
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        n_samples = 0
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ValueError("n_samples must be an integer >= 1")
     check_seed(seed)
     if basis.ndim != 2 or basis.shape[0] != body.n:
         raise DimensionMismatch(f"basis must have {body.n} rows, got shape {basis.shape}")

@@ -6,11 +6,12 @@ rays where some restricted functional vanishes, so the section polygon's
 vertices are the gauge-normalized points on those rays sorted by angle:
 O(k^2) work for k functionals.  Smooth bodies have one radial-rule kernel.
 
-`section_areas` is the one batched area entry point and `cross_section` its
-one-plane view with the polygon: abs-sum bodies take `section_fan`, product
-planes inside the left factor the factor's section, other planes the radial
-kernel.  The certificate and the semi-ellipticity probe call `section_areas`;
-a plane's area is bitwise the same alone, in any batch and in `cross_section`.
+`section_areas` is the one area entry point: abs-sum bodies take
+`section_fan`, product planes inside the left factor the factor's section,
+other planes the radial kernel.  Every caller that needs an area calls it,
+one plane as a one-row batch.  `cross_section` is the one-plane view with
+the polygon, for the `section` command; a plane's area is bitwise the same
+alone, in any batch and in `cross_section`.
 """
 
 from dataclasses import dataclass
@@ -73,13 +74,6 @@ def _restrict(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     for i in range(1, L.shape[1]):
         out += L[:, i : i + 1] * X[i]
     return np.ascontiguousarray(out.T)
-
-
-def section_constraints(body: AbsSumBody, plane: Plane2) -> np.ndarray:
-    """Pairs (a_j, b_j) with the section equal to {sum_j |a_j x + b_j y| <= 1}."""
-    if body.n != plane.n:
-        raise DimensionMismatch("body and plane dimensions differ")
-    return _restrict(body.functionals, np.stack((plane.u, plane.v))).T
 
 
 def section_fan(A: np.ndarray, Bc: np.ndarray):
@@ -149,8 +143,8 @@ def cross_section(body: Body, plane: Plane2, radial_n: int | None = None) -> Sec
     if radial_n is not None and radial_n < 3:
         raise ValueError(f"radial_n must be >= 3, got {radial_n}")
     if isinstance(body, AbsSumBody):
-        coeffs = section_constraints(body, plane)
-        areas, z, keep = section_fan(coeffs[None, :, 0], coeffs[None, :, 1])
+        L = body.functionals
+        areas, z, keep = section_fan(_restrict(L, plane.u[None]), _restrict(L, plane.v[None]))
         polygon = Polygon2(np.column_stack((z.real[keep], z.imag[keep])))
         return SectionReport(polygon, float(areas[0]), "exact-halfplane")
     if _in_left_factor(body, plane.u[None, :], plane.v[None, :])[0]:

@@ -207,13 +207,12 @@ def test_area_factor_is_exact_square_on_pinning_lines():
 def test_projection_pinning_ends_are_gap_roots(body_c, ball4, eps):
     for body in (body_c, ball4):
         rep = bh.projection_pinning(body, eps)
-        w0_area = bh.cross_section(body, bh.w0_plane(4)).euclidean_area
         for combo, (sigma, first, second) in PIN_LINES.items():
             lo, hi = rep.intervals[combo]
             assert lo <= hi
             for idx, sign in ((first, 1.0), (second, -1.0)):
                 plane = bh.named_plane(idx, eps)
-                gaps = [bh.contraction_gap(body, pin_projection(sigma, sign * t), plane, w0_area)
+                gaps = [bh.contraction_gap(body, pin_projection(sigma, sign * t), plane)
                         for t in (lo, hi)]
                 assert min(abs(g) for g in gaps) < 1e-12
 

@@ -73,6 +73,12 @@ def test_bh_area_examples(body_c, ball4):
     assert abs(bh.bh_area(body_c, bh.named_plane(9), 1.0) - math.pi / 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("area", [math.nan, math.inf, -math.inf, -1.0])
+def test_bh_area_refuses_areas_that_are_not_finite_and_nonnegative(body_c, area):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        bh.bh_area(body_c, bh.w0_plane(4), area)
+
+
 def test_codim2_matches_exact_in_dim4(body_c):
     for i in range(10):
         gen = np.random.default_rng(100 + i)
@@ -276,6 +282,20 @@ def test_mc_volume_refuses_a_bad_basis():
         bh.mc_section_volume(body, sheared, 64 * 10, seed=0)
     with pytest.raises(ValueError, match="orthonormal"):
         bh.mc_section_volume(body, 1.001 * np.eye(6)[:, :2], 64 * 10, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [1e5, math.nan, math.inf])
+def test_mc_volume_refuses_sample_counts_that_are_not_integers(body_c, n_samples):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+        bh.mc_section_volume(body_c, np.eye(4)[:, :2], n_samples, seed=0)
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+        bh.bh_density_codim2(body_c, bh.Bivector([1, 0, 0, 0, 0, 0], 4), n_samples)
+
+
+def test_mc_volume_takes_numpy_integer_sample_counts(body_c):
+    basis = np.eye(4)[:, :2]
+    vol = bh.mc_section_volume(body_c, basis, np.int64(64 * 10), seed=0)
+    assert vol == bh.mc_section_volume(body_c, basis, 64 * 10, seed=0)
 
 
 def test_mc_volume_below_one_point_per_shift():

@@ -14,15 +14,20 @@ def _radial_area(body, pl, n_angles):
     return sections._radial_areas(body, pl.u[None, :], pl.v[None, :], n_angles)[0][0]
 
 
+def _constraints(body, pl):
+    # pairs (a_j, b_j) with the section equal to {sum_j |a_j x + b_j y| <= 1}
+    return sections._restrict(body.functionals, np.stack((pl.u, pl.v))).T
+
+
 def test_w0_constraints(body_c):
-    coeffs = bh.section_constraints(body_c, bh.w0_plane(4))
+    coeffs = _constraints(body_c, bh.w0_plane(4))
     s = 1.0 / SQRT2
     expected = np.array([[s, 0.0], [0.0, s], [0.5, -0.5], [0.5, 0.5]])
     assert np.abs(coeffs - expected).max() < 1e-15
 
 
 def test_cross_polytope_constraints(body_o):
-    coeffs = bh.section_constraints(body_o, bh.w0_plane(4))
+    coeffs = _constraints(body_o, bh.w0_plane(4))
     expected = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(coeffs, expected)
 
@@ -30,7 +35,7 @@ def test_cross_polytope_constraints(body_o):
 def test_v1_constraints_match_restriction(body_c):
     eps = 0.07
     s = math.sqrt(1.0 + eps * eps)
-    coeffs = bh.section_constraints(body_c, bh.named_plane(1, eps))
+    coeffs = _constraints(body_c, bh.named_plane(1, eps))
     expected = np.array(
         [
             [(1 + eps) / (SQRT2 * s), 0.0],
@@ -189,7 +194,7 @@ def test_section_areas_smooth_bodies_are_cross_section(ball4, radial_n, monkeypa
     assert methods == ["exact-halfplane", f"radial({bh.TOL.radial_n})"]
 
 
-@pytest.mark.parametrize(
+FOUR_BODIES = pytest.mark.parametrize(
     "make",
     [
         bh.make_rotated_cross_polytope,
@@ -199,6 +204,30 @@ def test_section_areas_smooth_bodies_are_cross_section(ball4, radial_n, monkeypa
     ],
     ids=["rotated-cross4", "euclidean4", "complex-lp-1.5-2", "product-cross4-2"],
 )
+
+
+@FOUR_BODIES
+def test_area_callers_are_cross_section(make):
+    # contraction_gap, bh_density_2 and bh_area take their areas from section_areas, bitwise
+    # their formulas on cross_section's area; on the product half the planes lie in the left factor
+    body = make()
+    planes = bh.random_planes(11, body.n, 6)
+    if body.n == 6:
+        planes[::2] = [embed_plane(pl, 6) for pl in bh.random_planes(11, 4, 3)]
+        assert {bh.cross_section(body, pl).method for pl in planes[:2]} == {
+            "exact-halfplane", f"radial({bh.TOL.radial_n})"}
+    w0_area = bh.cross_section(body, bh.w0_plane(body.n)).euclidean_area
+    proj = bh.ProjectionW0(0.1, -0.2, 0.3, 0.05)
+    for pl in planes:
+        area = bh.cross_section(body, pl).euclidean_area
+        assert bh.contraction_gap(body, proj, pl) == bh.area_factor(proj, pl) * area - w0_area
+        assert bh.bh_area(body, pl, 0.7) == math.pi * 0.7 / area
+        w = bh.wedge(pl.u, pl.v)
+        w_area = bh.cross_section(body, bh.plane_from_bivector(w)).euclidean_area
+        assert bh.bh_density_2(body, w).value == math.pi * w.norm / w_area
+
+
+@FOUR_BODIES
 def test_section_areas_refuse_bad_rows(make):
     # every body class checks its rows once: shape (m, body.n), then Plane2's basis rule
     body = make()
