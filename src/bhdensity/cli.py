@@ -2,8 +2,8 @@
 
 Every JSON report embeds the toolkit version, a config echo and the seed;
 floats are serialized with 17 significant digits so identical configs give
-bitwise-identical files (the timestamp, the thread count and the output
-path, which do not change a result, are left out under --deterministic).
+bitwise-identical files (the timestamp and the output path, which do not
+change a result, are left out under --deterministic).
 Exit codes: 0 success, 1 usage error, 2 certificate failure.
 """
 
@@ -129,9 +129,9 @@ def _write(args, text: str):
 
 
 def _emit(args, payload: dict):
-    # the thread count and the output path do not change a result, so a
-    # deterministic report leaves them out
-    skip = ("func", "threads", "out") if args.deterministic else ("func",)
+    # the output path does not change a result, so a deterministic report
+    # leaves it out
+    skip = ("func", "out") if args.deterministic else ("func",)
     report = {
         "toolkit_version": __version__,
         "config_echo": {
@@ -194,7 +194,6 @@ def cmd_certify(args):
             extra_planes=args.extra_planes,
             seed=args.seed,
             gap_threshold=args.threshold,
-            threads=args.threads,
         )
     except CertificateFailed as exc:
         _emit(
@@ -303,7 +302,6 @@ def make_parser() -> _Parser:
     p.add_argument("--eps", default="0.02,0.05,0.1")
     p.add_argument("--extra-planes", type=int, default=64)
     p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("lemmas", help="CSV sweep of tilt families: bounds, areas, fits")

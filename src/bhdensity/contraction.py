@@ -11,18 +11,17 @@ lambda(V) = |f|, where in the Plucker coordinates p_ij of V
 it contracts the normed Hausdorff 2-measure only if
 lambda(V) * H^2(C cut V) <= H^2(C cut W0) for every plane V.  f has degree
 at most one in each parameter, so over a box of parameters it is extreme at
-the box's corners.  After a search for the least best gap on a parameter
-grid, the certificate uses that to bound the best witness gap from below on
-cells bisected from the parameter box, splitting the cells that do not clear
-the threshold, and bounds it outside the box in closed form through the four
-coordinate planes whose f is -a, -b, c or d.
+the box's corners.  The certificate uses that twice: to find the least best
+gap on a parameter grid by branch and bound, and then to bound the best
+witness gap from below on cells bisected from the parameter box, splitting
+the cells that do not clear the threshold.  Outside the box it bounds the
+gap in closed form through the four coordinate planes whose f is -a, -b, c
+or d.
 """
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +117,7 @@ def _signed_factors(a, b, c, d, p):
     span(u, v), the `wedge_rows` of u and v, along its first axis (six numbers
     or a (6, n_planes) table); the parameters broadcast against them.  f is
     multilinear and is evaluated split as G(b, c, d) + a H(d), the sum of
-    `_factor_terms`: the points pass adds tables of the two terms, and every
+    `_factor_terms`: `_lattice_bounds` adds tables of the two terms, and every
     other caller gets the same bits from the same order.
     """
     g, ah = _factor_terms(a, b, c, d, p)
@@ -364,12 +363,13 @@ def _plane_tables(body: Body, planes):
 
 
 _WITNESS_TIE = 1e-12
-_BLOCK = 1 << 16  # grid points per block of the points pass
-_TABLE = 1 << 20  # (point or lattice point, plane) entries per chunk of a table
+_TABLE = 1 << 20  # (lattice point, plane) entries per chunk of a table
 
 # corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is 1, and
 # child k of a split cell takes the upper half there
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=4)))
+# point q of a split cell's lattice (lo, mid, hi) takes entry _LATTICE[q] on each axis
+_LATTICE = np.array(list(itertools.product((0, 1, 2), repeat=4)))
 
 
 def _corner_gaps(f_min, f_max, areas, w0_area):
@@ -380,89 +380,11 @@ def _corner_gaps(f_min, f_max, areas, w0_area):
     return areas * np.maximum(np.maximum(f_min, -f_max), 0.0) - w0_area
 
 
-def _on_slabs(rows, threads, do_slab):
-    """Run ``do_slab(i0, i1)`` over [0, rows) split into one row range per thread."""
-    workers = min(threads or os.cpu_count() or 1, rows)
-    edges = np.linspace(0, rows, workers + 1).astype(int).tolist()
-    if workers == 1:
-        do_slab(0, rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_slab, edges[:-1], edges[1:]))
-
-
-def _scan_points(axes, P, areas, w0_area, threads):
-    """Best gap at each point of the grid ``axes``^4 over the planes of the
-    Plucker table ``P``.
-
-    Per plane and block the factors are one broadcast add of the G table over
-    (b, c, d) and the a H table over (a, d).  |f| * area >= 0 is maximized
-    over the planes, starting from 0, and w0_area is subtracted once after
-    that, which is exact, since rounding is monotone.  Slabs of the first axis
-    run on a thread pool and write only their own rows, in blocks of rows
-    small enough that a block's temporaries stay in cache.
-    """
-    g = axes.size
-    best = np.zeros((g,) * 4)
-    B, C, D = axes[:, None, None], axes[:, None], axes
-
-    def do_slab(i0, i1):
-        A = axes[i0:i1, None, None, None]
-        k = min(i1 - i0, max(1, _BLOCK // g**3))
-        top, buf = best[i0:i1], np.empty((k, g, g, g))
-        for i in range(areas.size):
-            G, aH = _factor_terms(A, B, C, D, P[i])
-            for r in range(0, i1 - i0, k):
-                t = top[r:r + k]
-                f = np.add(G, aH[r:r + k], out=buf[:len(t)])
-                np.abs(f, out=f)
-                f *= areas[i]
-                np.maximum(t, f, out=t)
-        top -= w0_area
-
-    _on_slabs(g, threads, do_slab)
-    return best
-
-
 def _gaps(a, b, c, d, P, areas, w0_area):
     """|f| * area - w0_area of every plane of the Plucker table ``P`` (last
-    axis) at the broadcast parameters: the bits `_scan_points` maximizes."""
+    axis) at the broadcast parameters: the bits whose largest is a point's
+    best gap in `_lattice_bounds`."""
     return np.abs(_signed_factors(a, b, c, d, P.T)) * areas - w0_area
-
-
-def _coarse_axes(axes):
-    """Every s-th grid value, s = ceil((grid_n - 1) / 8): at most 9 per axis."""
-    return axes[::-(-(axes.size - 1) // 8)]
-
-
-def _grid_minimum(axes, P, areas, w0_area, threads):
-    """Flat C-order index and value of the first least `_scan_points` best gap
-    on the grid ``axes``^4, found by exclusion in the four steps that
-    `certify_no_contraction` describes; the full family is scored in chunks
-    of at most ``_TABLE`` (point, plane) entries."""
-    coarse = _coarse_axes(axes)
-    coarse_gaps = _gaps(*(x[..., None] for x in np.ix_(coarse, coarse, coarse, coarse)),
-                        P, areas, w0_area).reshape(-1, areas.size)
-    U = np.maximum(coarse_gaps.max(axis=1), -w0_area).min()
-    cover = coarse_gaps > U
-    open_ = cover.any(axis=1)
-    keep = []
-    while open_.any():
-        keep.append(int(np.argmax(cover[open_].sum(axis=0))))
-        open_ &= ~cover[:, keep[-1]]
-    partial = _scan_points(axes, P[keep], areas[keep], w0_area, threads)
-    survivors = np.flatnonzero(partial.ravel() <= U)
-    rows = max(1, _TABLE // areas.size)
-    best_idx, best = -1, np.inf
-    for s in range(0, survivors.size, rows):
-        idx = survivors[s:s + rows]
-        values = _gaps(*(axes[i][:, None] for i in np.unravel_index(idx, partial.shape)),
-                       P, areas, w0_area)
-        values = np.maximum(values.max(axis=1), -w0_area)
-        k = int(np.argmin(values))
-        if values[k] < best:
-            best_idx, best = int(idx[k]), float(values[k])
-    return best_idx, best
 
 
 def _lattice_bounds(vals, P, areas, w0_area):
@@ -475,7 +397,8 @@ def _lattice_bounds(vals, P, areas, w0_area):
     points and the a H table over the k^2 (a, d) points, so every point
     carries the bits of `_signed_factors`; a cell's f_min and f_max are exact
     minima and maxima over windows of 2 along each axis.  The best gap, the
-    largest |f| * area less w0_area, is subtracted once, as in `_scan_points`.
+    largest |f| * area less w0_area, subtracts w0_area once, after the
+    maximum, which is exact, since rounding is monotone.
     Returns the bounds (lattices * cells, n_planes), lattice by lattice, and
     the best gaps (lattices, k, k, k, k).
     """
@@ -489,6 +412,50 @@ def _lattice_bounds(vals, P, areas, w0_area):
         f_min = np.minimum(f_min[head], f_min[tail])
         f_max = np.maximum(f_max[head], f_max[tail])
     return _corner_gaps(f_min, f_max, areas, w0_area).reshape(-1, areas.size), best
+
+
+def _grid_minimum(axes, P, areas, w0_area, allowance):
+    """Flat C-order index and value of the first least best gap, floored at
+    -w0_area, on the grid ``axes``^4, by branch and bound over cells of grid
+    indices.
+
+    From [0, g - 1]^4, a cell [lo, hi] is split at mid = (lo + hi) // 2, and
+    `_lattice_bounds` scores the lattice ``axes[(lo, mid, hi)]`` and bounds
+    its 16 children, in chunks of lattices whose f table stays within
+    ``_TABLE`` entries.  U, the least value at any lattice point so far, is
+    kept with its least index.  A child is split in turn only if its bound
+    less ``allowance`` is at most U and it spans two grid steps on some axis;
+    otherwise every grid point in it is one of its corners, already scored.  A
+    child zero steps wide on some axis is dropped too: its sibling holds it.
+    Every lattice point carries the bits of `_gaps`, and every grid point the
+    search skips lies in a cell whose bound, less the allowance, exceeds U,
+    so the value there exceeds U: the index and value are bitwise those of a
+    full scan.
+    """
+    shape = (axes.size,) * 4
+    lo, hi = np.zeros((1, 4), dtype=np.intp), np.full((1, 4), axes.size - 1)
+    rows = max(1, _TABLE // (81 * areas.size))
+    best, best_idx = np.inf, -1
+    while lo.shape[0]:
+        idx = np.stack((lo, (lo + hi) // 2, hi), axis=-1)
+        kept = []
+        for s in range(0, idx.shape[0], rows):
+            chunk = idx[s:s + rows]
+            lower, gaps = _lattice_bounds(axes[chunk], P, areas, w0_area)
+            values = np.maximum(gaps, -w0_area).ravel()
+            least = values.min()
+            if least <= best:
+                points = chunk[:, np.arange(4), _LATTICE].reshape(-1, 4)[values == least]
+                at = np.ravel_multi_index(points.T, shape).min()
+                best, best_idx = min((best, best_idx), (float(least), int(at)))
+            child_lo = chunk[:, np.arange(4), _CORNERS].reshape(-1, 4)
+            child_hi = chunk[:, np.arange(4), _CORNERS + 1].reshape(-1, 4)
+            steps = child_hi - child_lo
+            keep = ((lower.max(axis=1) - allowance <= best)
+                    & (steps.max(axis=1) >= 2) & (steps.min(axis=1) >= 1))
+            kept.append((child_lo[keep], child_hi[keep]))
+        lo, hi = (np.concatenate(part) for part in zip(*kept))
+    return best_idx, best
 
 
 def _bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
@@ -561,15 +528,14 @@ def certify_no_contraction(
     """Certify a witness gap above ``gap_threshold`` at every projection (a, b, c, d).
 
     `_grid_minimum` finds the least best gap on the grid with grid_n points
-    per axis on [-R, R]^4 in four steps: every plane is scored on a coarse
-    sub-grid of at most 9 points per axis, whose least best gap U is a grid
-    value; a few planes are chosen greedily to cover every coarse point where
-    some plane's gap exceeds U; those planes alone are scanned over the whole
-    grid (`_scan_points`); and the full family is scored only at the points
-    whose partial best is at most U.  That is exact: a point's best over all
-    planes is at least its partial best, so every point it skips lies above
-    U, and U is at least the grid minimum.  Only if the grid minimum clears
-    the threshold is the box [-R, R]^4 bisected from a single cell
+    per axis on [-R, R]^4 by branch and bound on the same corner bounds:
+    cells of grid indices are split from the whole grid, and a cell is
+    dropped once its bound, less the allowance below, exceeds U, the least
+    best gap at any grid point scored so far.  The allowance covers the
+    rounding of a grid point's best gap and of the cell's bound, so every
+    point the search skips lies above U, and U is a grid value: the result is
+    bitwise that of a full scan.  Only if the grid minimum clears the
+    threshold is the box [-R, R]^4 bisected from a single cell
     (``_bisect``), within (grid_n - 1)^4 cells, until every cell's best
     ``_corner_gaps`` clears it; each split bounds its 16 children at once
     from their 81 shared corners (``_lattice_bounds``).  Outside the box some
@@ -599,8 +565,8 @@ def certify_no_contraction(
     all the error the section areas may carry: they are trusted to it, not
     proved.
 
-    The grid scan of the covering planes runs on ``threads`` threads (None or
-    0: one per CPU); the result does not depend on the count.  Raises
+    ``threads`` is accepted and ignored; perfbench's certify workload still
+    passes it, and the benchmark refresh (ROADMAP item 1) deletes it.  Raises
     ValueError when R is so large that the allowance overflows, and
     CertificateFailed when the exterior bound, the grid minimum or the least
     bisection corner of a level does not clear the threshold, or the
@@ -617,8 +583,6 @@ def certify_no_contraction(
         raise ValueError("gap_threshold must be finite")
     if extra_planes < 0:
         raise ValueError("extra_planes must be >= 0")
-    if threads is not None and threads < 0:
-        raise ValueError("threads must be >= 0")
     check_seed(seed)
 
     t0 = time.perf_counter()
@@ -650,7 +614,7 @@ def certify_no_contraction(
 
     # --- grid points; bisection of the box once the grid minimum clears
     axes = np.linspace(-R, R, grid_n)
-    flat_idx, min_gap = _grid_minimum(axes, P, areas, w0_area, threads)
+    flat_idx, min_gap = _grid_minimum(axes, P, areas, w0_area, allowance)
     min_point = tuple(float(axes[i]) for i in np.unravel_index(flat_idx, (grid_n,) * 4))
     if min_gap <= gap_threshold:
         fail_at(min_point, min_gap, "grid minimum")

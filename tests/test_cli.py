@@ -137,7 +137,7 @@ def test_usage_error_exit_code(tmp_path):
     ids=["section", "density", "gap", "certify", "certify-fails", "lemmas", "probe"],
 )
 def test_thread_environment_variable_is_ignored(args, tmp_path, monkeypatch):
-    # --threads is the one way to set the thread count; BHD_THREADS changes nothing
+    # no option or environment variable sets a thread count; BHD_THREADS changes nothing
     reports = []
     for env in (None, "two"):
         if env is not None:
@@ -208,8 +208,10 @@ def test_certify_huge_box_fails_with_a_finite_report(tmp_path):
     assert data["success"] is False and data["reason"].startswith("exterior bound")
 
 
-def test_threads_only_on_certify(capsys):
-    assert main(["section", "--body", "rotated-cross4", "--plane", "w0", "--threads", "2"]) == 1
+@pytest.mark.parametrize("args", [["section", "--plane", "w0"], ["certify"]],
+                         ids=["section", "certify"])
+def test_threads_is_a_usage_error(args, capsys):
+    assert main([*args, "--body", "rotated-cross4", "--threads", "2"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
 
 
@@ -414,19 +416,3 @@ def test_lemmas_csv(tmp_path):
     v5_row = next(l for l in lines if l.startswith("v5v6")).split(",")
     assert v5_row[2] == ""
 
-
-@pytest.mark.parametrize("flag", [["--threads", "-1"]], ids=["flag"])
-def test_negative_threads_is_error(flag, capsys):
-    assert main(["certify", "--body", "rotated-cross4", *flag]) == 1
-    assert capsys.readouterr().err == "error: threads must be >= 0\n"
-
-
-def test_deterministic_certify_report_does_not_depend_on_threads(tmp_path):
-    args = ["certify", "--body", "rotated-cross4", "--box", "2", "--grid", "21", "--eps", "0.1",
-            "--extra-planes", "4"]
-    reports = []
-    for threads in ("1", "2"):
-        code, _, out = run_cli(args + ["--threads", threads], tmp_path)
-        assert code == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]

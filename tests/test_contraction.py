@@ -276,24 +276,28 @@ def test_verified_cells_tile_the_box(body_c, kwargs):
 
 
 def test_grid_size_does_not_move_the_verified_partition(body_c):
-    # the points grid sizes only the grid minimum and the bisection budget
+    # the points grid sizes only the grid minimum and the bisection budget; a 129^4 grid
+    # is searched by branch and bound, with no table over its points
     kwargs = dict(box_halfwidth=4.0, eps_set=(0.02, 0.05, 0.1), extra_planes=64)
-    g21, g33 = (bh.certify_no_contraction(body_c, grid_n=g, **kwargs) for g in (21, 33))
-    assert g21.grid_n == 21 and g33.grid_n == 33
-    assert g21.box == g33.box and g21.witness_counts == g33.witness_counts
-    assert g21.global_min_max_gap == g33.global_min_max_gap
-    for key in ("refined_point", "refined_halfwidth", "refined_gap", "refined_witness"):
-        assert g21.worst_cell[key] == g33.worst_cell[key]
+    g21, g33, g129 = (bh.certify_no_contraction(body_c, grid_n=g, **kwargs) for g in (21, 33, 129))
+    assert g21.grid_n == 21 and g33.grid_n == 33 and g129.grid_n == 129
+    for cert in (g33, g129):
+        assert g21.box == cert.box and g21.witness_counts == cert.witness_counts
+        assert g21.global_min_max_gap == cert.global_min_max_gap
+        for key in ("refined_point", "refined_halfwidth", "refined_gap", "refined_witness"):
+            assert g21.worst_cell[key] == cert.worst_cell[key]
 
 
 def test_certificate_thread_count_does_not_change_cells(body_c):
+    # threads is accepted and ignored: unset, 1 and 4 give the same report, bitwise
     kwargs = dict(box_halfwidth=2.0, grid_n=21, eps_set=(0.1,), extra_planes=4, seed=2)
-    one = bh.certify_no_contraction(body_c, threads=1, **kwargs)
-    four = bh.certify_no_contraction(body_c, threads=4, **kwargs)
-    assert np.array_equal(one.cell_witness, four.cell_witness)
-    assert np.array_equal(one.cell_bounds, four.cell_bounds)
-    assert one.box == four.box and one.worst_cell == four.worst_cell
-    assert dumps(one.to_report(deterministic=True)) == dumps(four.to_report(deterministic=True))
+    unset, one, four = (bh.certify_no_contraction(body_c, **kwargs, **threads)
+                        for threads in ({}, dict(threads=1), dict(threads=4)))
+    for cert in (one, four):
+        assert np.array_equal(unset.cell_witness, cert.cell_witness)
+        assert np.array_equal(unset.cell_bounds, cert.cell_bounds)
+        assert unset.box == cert.box and unset.worst_cell == cert.worst_cell
+        assert dumps(unset.to_report(deterministic=True)) == dumps(cert.to_report(deterministic=True))
 
 
 def test_certificate_euclidean_control_fails(ball4):
@@ -345,11 +349,13 @@ def test_scan_grid_witness_beyond_int16():
     areas = np.arange(1.0, n_planes + 1.0)
     axes = np.array([-1.0, 1.0])
     P = wedge_rows(U, V)
-    best = contraction._scan_points(axes, P, areas, 0.5, threads=1)
+    best = _full_grid_best(axes, P, areas, 0.5)
     counts, (_, _, _, witness) = contraction._bisect(
         np.full((1, 4), -1.0), np.full((1, 4), 1.0), P, areas, 0.5, 0.0, 0.0, 1)
     assert counts == [1] and witness.tolist() == [n_planes - 1]
     assert best.shape == (2, 2, 2, 2)
+    assert contraction._grid_minimum(axes, P, areas, 0.5, 0.0) == _full_grid_minimum(
+        axes, P, areas, 0.5)
 
 
 def test_scan_grid_matches_brute_force_with_duplicate_plane():
@@ -367,7 +373,7 @@ def test_scan_grid_matches_brute_force_with_duplicate_plane():
     axes = np.linspace(-1.5, 1.5, 5)
     w0_area = 1.2
     P = wedge_rows(U, V)
-    best = contraction._scan_points(axes, P, areas, w0_area, threads=2)
+    best = _full_grid_best(axes, P, areas, w0_area)
     for idx in np.ndindex(best.shape):
         p = bh.ProjectionW0(*axes[list(idx)])
         gaps = [bh.area_factor(p, pl) * ar - w0_area for pl, ar in zip(planes, areas)]
@@ -538,17 +544,17 @@ def test_certificate_failures_are_pinned(case, table, monkeypatch):
     if table is not None:
         monkeypatch.setattr(contraction, "_TABLE", table)
     with pytest.raises(bh.CertificateFailed) as err:
-        bh.certify_no_contraction(make_body(), threads=1, **kwargs)
+        bh.certify_no_contraction(make_body(), **kwargs)
     assert err.value.point == point
     assert err.value.max_gap == max_gap and err.value.reason == reason
 
 
 def test_default_certificate_is_pinned(body_c):
-    cert = bh.certify_no_contraction(body_c, threads=1)
+    cert = bh.certify_no_contraction(body_c)
     assert cert.box["cells_per_level"] == [1, 16, 192, 192, 192, 192, 192, 128, 128, 384]
     assert cert.global_min_max_gap.hex() == "0x1.75168bd3d0f89p-10"
     assert sum(cert.witness_counts.values()) == 1516
-    cert = bh.certify_no_contraction(body_c, threads=1, gap_threshold=0.01)
+    cert = bh.certify_no_contraction(body_c, gap_threshold=0.01)
     assert cert.box["cells_per_level"] == [1, 16, 192, 192, 192, 192, 192, 800, 1600, 6336, 9936]
 
 
@@ -606,7 +612,7 @@ def test_perturbed_body_worst_witness_is_a_family_plane():
     # default_rng(1): the worst grid point is reported with its family witness and grid gap
     draws = np.random.default_rng(1).standard_normal((2, 4, 4))
     body = bh.AbsSumBody(bh.rotation_matrix().T + 0.03 * draws[1])
-    cert = bh.certify_no_contraction(body, grid_n=21, threads=2)
+    cert = bh.certify_no_contraction(body, grid_n=21)
     report = cert.to_report(deterministic=True)
     worst = report["worst_cell"]
     assert report["success"] and report["lifted"] == []
@@ -622,19 +628,20 @@ def _small_family():
     return wedge_rows(U, V), np.array([1.3, 1.0, 0.97, 0.9, 1.1])
 
 
-@pytest.mark.parametrize("block", [1 << 16, 125], ids=["one-block", "row-blocks"])
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_grid_passes_match_corner_kernel_bitwise(block, threads, monkeypatch):
-    # the points pass adds tables of G and a H; every point must carry the bits of
-    # _signed_factors there, before any allowance is subtracted; 3 threads split
-    # the 5 grid rows unevenly
-    monkeypatch.setattr(contraction, "_BLOCK", block)
+def test_grid_passes_match_corner_kernel_bitwise():
+    # the lattice kernel adds tables of G and a H; every lattice point must carry the bits
+    # of _signed_factors there, before any allowance is subtracted; two lattices of 5
+    # values per axis, different on each axis, in one call
     P, areas = _small_family()
     axes, w0_area = np.linspace(-4.0, 4.0, 5), 1.2
-    best = contraction._scan_points(axes, P, areas, w0_area, threads)
-    for idx in np.ndindex(best.shape):
-        gaps = np.abs(contraction._signed_factors(*axes[list(idx)], P.T)) * areas - w0_area
-        assert best[idx] == gaps.max()
+    vals = np.stack((np.stack((axes, 0.5 * axes + 0.25, -axes, axes ** 3 / 16.0)),
+                     np.stack((0.25 * axes, axes, 0.75 - axes, -0.5 * axes))))
+    _, best = contraction._lattice_bounds(vals, P, areas, w0_area)
+    assert best.shape == (2, 5, 5, 5, 5)
+    for n, *idx in np.ndindex(best.shape):
+        point = vals[n, np.arange(4), idx]
+        gaps = np.abs(contraction._signed_factors(*point, P.T)) * areas - w0_area
+        assert best[(n, *idx)] == gaps.max()
 
 
 def _family_tables(body, eps_set, extra_planes, seed):
@@ -643,9 +650,21 @@ def _family_tables(body, eps_set, extra_planes, seed):
     return P[:-1], areas[:-1], float(areas[-1])
 
 
+def _full_grid_best(axes, P, areas, w0_area):
+    """Best `_gaps` at every point of the grid ``axes``^4, one slab of the first axis at a time."""
+    b, c, d = (x[..., None] for x in np.ix_(axes, axes, axes))
+    return np.stack([contraction._gaps(a, b, c, d, P, areas, w0_area).max(axis=-1) for a in axes])
+
+
 def _full_grid_minimum(axes, P, areas, w0_area):
-    best = contraction._scan_points(axes, P, areas, w0_area, threads=2).ravel()
+    best = np.maximum(_full_grid_best(axes, P, areas, w0_area), -w0_area).ravel()
     return int(np.argmin(best)), float(best.min())
+
+
+def _allowance(axes, areas, w0_area):
+    """The certificate's rounding allowance for the box of the grid ``axes``."""
+    R = float(axes[-1])
+    return 64.0 * np.finfo(float).eps * (areas.max() * (1.0 + 4.0 * R + 2.0 * R * R) + w0_area)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -659,7 +678,8 @@ def test_grid_minimum_matches_full_scan(name, seed):
     P, areas, w0_area = _family_tables(body, (0.02, 0.05, 0.1), 64, seed)
     for grid_n in (21, 25, 33):
         axes = np.linspace(-4.0, 4.0, grid_n)
-        idx, value = contraction._grid_minimum(axes, P, areas, w0_area, threads=2)
+        idx, value = contraction._grid_minimum(axes, P, areas, w0_area,
+                                               _allowance(axes, areas, w0_area))
         want_idx, want_value = _full_grid_minimum(axes, P, areas, w0_area)
         assert idx == want_idx
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
@@ -667,15 +687,17 @@ def test_grid_minimum_matches_full_scan(name, seed):
 
 @pytest.mark.parametrize("chunk_points", [None, 3], ids=["one-chunk", "chunks-of-3"])
 def test_grid_minimum_returns_first_of_tied_minimizers(chunk_points, monkeypatch):
-    # v9 repeated; w0 (area 0.97) is the best plane at thousands of points, all tied
+    # v9 repeated; w0 (area 0.97) is the best plane at thousands of points, all tied;
+    # chunks of 3 points hold one lattice each, so the ties meet across chunks
     P, areas = _small_family()
     P, areas = P[[0, 1, 2, 3, 4, 0]], areas[[0, 1, 2, 3, 4, 0]]
     if chunk_points is not None:
         monkeypatch.setattr(contraction, "_TABLE", chunk_points * areas.size)
     axes, w0_area = np.linspace(-4.0, 4.0, 21), 1.2
-    best = contraction._scan_points(axes, P, areas, w0_area, threads=1).ravel()
+    best = _full_grid_best(axes, P, areas, w0_area).ravel()
     assert np.count_nonzero(best == best.min()) > 1
-    assert contraction._grid_minimum(axes, P, areas, w0_area, 3) == _full_grid_minimum(
+    assert contraction._grid_minimum(
+        axes, P, areas, w0_area, _allowance(axes, areas, w0_area)) == _full_grid_minimum(
         axes, P, areas, w0_area)
 
 
@@ -683,17 +705,9 @@ def test_grid_minimum_in_chunks_of_three_points(body_c, monkeypatch):
     P, areas, w0_area = _family_tables(body_c, (0.05, 0.1), 8, 1)
     monkeypatch.setattr(contraction, "_TABLE", 3 * areas.size)
     axes = np.linspace(-2.0, 2.0, 23)
-    assert contraction._grid_minimum(axes, P, areas, w0_area, 2) == _full_grid_minimum(
+    assert contraction._grid_minimum(
+        axes, P, areas, w0_area, _allowance(axes, areas, w0_area)) == _full_grid_minimum(
         axes, P, areas, w0_area)
-
-
-@pytest.mark.parametrize("grid_n", [21, 25, 33, 65, 129])
-def test_coarse_grid_stays_small(grid_n):
-    # a large --grid must not make a large (coarse points, planes) table
-    axes = np.linspace(-4.0, 4.0, grid_n)
-    coarse = contraction._coarse_axes(axes)
-    assert 2 <= coarse.size <= 9
-    assert np.isin(coarse, axes).all() and coarse[0] == axes[0]
 
 
 def test_euclidean_control_fails_before_witness_and_cells_passes(ball4, monkeypatch):
@@ -709,7 +723,3 @@ def test_euclidean_control_fails_before_witness_and_cells_passes(ball4, monkeypa
     assert err.value.reason == "grid minimum"
     assert max(err.value.gaps.values()) <= 1e-12
 
-
-def test_negative_thread_count_is_refused(body_c):
-    with pytest.raises(ValueError, match="threads must be >= 0"):
-        bh.certify_no_contraction(body_c, threads=-1)
