@@ -628,16 +628,28 @@ def _small_family():
     return wedge_rows(U, V), np.array([1.3, 1.0, 0.97, 0.9, 1.1])
 
 
-def test_grid_passes_match_corner_kernel_bitwise():
+@pytest.mark.parametrize("block", ["one-block", "row-blocks"])
+@pytest.mark.parametrize("lattices", [1, 2, 3])
+def test_grid_passes_match_corner_kernel_bitwise(lattices, block):
     # the lattice kernel adds tables of G and a H; every lattice point must carry the bits
-    # of _signed_factors there, before any allowance is subtracted; two lattices of 5
-    # values per axis, different on each axis, in one call
+    # of _signed_factors there, before any allowance is subtracted; up to three lattices of
+    # 5 values per axis, different on each axis, scored in one call or one call per lattice,
+    # as the chunks of _grid_minimum and _bisect split them, with the same bits either way
     P, areas = _small_family()
     axes, w0_area = np.linspace(-4.0, 4.0, 5), 1.2
     vals = np.stack((np.stack((axes, 0.5 * axes + 0.25, -axes, axes ** 3 / 16.0)),
-                     np.stack((0.25 * axes, axes, 0.75 - axes, -0.5 * axes))))
-    _, best = contraction._lattice_bounds(vals, P, areas, w0_area)
-    assert best.shape == (2, 5, 5, 5, 5)
+                     np.stack((0.25 * axes, axes, 0.75 - axes, -0.5 * axes)),
+                     np.stack((-0.5 * axes, axes ** 2 / 4.0 - 2.0, 0.1 + axes, 2.0 - axes))))
+    vals = vals[:lattices]
+    lower, best = contraction._lattice_bounds(vals, P, areas, w0_area)
+    if block == "row-blocks":
+        rows = [contraction._lattice_bounds(vals[n:n + 1], P, areas, w0_area)
+                for n in range(lattices)]
+        row_lower, row_best = (np.concatenate(part) for part in zip(*rows))
+        assert row_lower.tobytes() == lower.tobytes()
+        lower, best = row_lower, row_best
+    assert lower.shape == (lattices * 4 ** 4, areas.size)
+    assert best.shape == (lattices, 5, 5, 5, 5)
     for n, *idx in np.ndindex(best.shape):
         point = vals[n, np.arange(4), idx]
         gaps = np.abs(contraction._signed_factors(*point, P.T)) * areas - w0_area
