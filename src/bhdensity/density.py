@@ -7,10 +7,12 @@ replaces the exact planar section by a quasi-Monte Carlo volume of the
 through the Hodge dual.  That volume is the polar (radial) integral
 vol(B cut by E) = alpha_m * E[rho(theta)^m], theta uniform on the unit
 sphere of E and rho = 1 / gauge (Gardner, Geometric Tomography), taken by a
-randomly shifted rule: the rectangle rule on the circle for m = 2 and the R3
-Kronecker point set on S^3 for m = 4, with 64 random shifts whose spread
-gives the standard error (L'Ecuyer and Lemieux, "Variance reduction via
-lattice rules", Management Science 46, 2000).  The normalizing ball volume
+randomly rotated rule: one fixed point set of the sphere, the rectangle
+rule on the circle for m = 2 and the R3 Kronecker point set mapped to S^3
+for m = 4, scored in 64 Haar-random orthogonal frames of E whose spread
+gives the standard error (Brauchart, Saff, Sloan and Womersley, "QMC
+designs: optimal order quasi Monte Carlo integration schemes on the
+sphere", Math. Comp. 83, 2014).  The normalizing ball volume
 alpha_m is kept in both densities (any constant cancels from every
 convexity statement).
 """
@@ -107,46 +109,43 @@ def _orthocomplement(plane: Plane2) -> np.ndarray:
     return q[:, 2:]
 
 
-_MC_CHUNK = 1 << 12  # points per array pass
-_MC_SHIFTS = 64  # random shifts; the standard error has 63 degrees of freedom
+_MC_CHUNK = 1 << 12  # points per gauge call
+_MC_ROTATIONS = 64  # random rotations; the standard error has 63 degrees of freedom
 # R3 Kronecker step (1/g, 1/g^2, 1/g^3), g = 1.2207440846... the real root of x^4 = x + 1
 _R3_STEP = 1.2207440846057596 ** -np.arange(1.0, 4.0)
-
-
-def _frac(x: np.ndarray) -> np.ndarray:
-    return x - np.floor(x)
 
 
 def mc_section_volume(
     body: Body, basis: np.ndarray, n_samples: int, seed: int = 0
 ) -> tuple[float, float]:
-    """Randomly shifted quasi-Monte Carlo volume of body cut by E = span(basis columns).
+    """Randomly rotated quasi-Monte Carlo volume of body cut by E = span(basis columns).
 
     Polar identity: vol(K cut by E) = alpha_m * E[gauge(theta)^(-m)] over theta
     uniform on the unit sphere of E, m = 2 or 4 (any other m raises
-    DimensionMismatch).  The points are frac(Delta + k * step), k < N =
-    n_samples // 64, for each of 64 shifts Delta drawn uniform from
-    `_philox_streams(seed)`: for m = 2, step = 1/N and theta = 2 pi u is the
-    shifted rectangle rule on the circle; for m = 4, step is the R3
-    Kronecker vector (1/g, 1/g^2, 1/g^3), g^4 = g + 1 (Niederreiter 1992),
-    and u in [0, 1)^3 goes to S^3 by Hopf coordinates
-    (sqrt(1 - t) e^(2 pi i u2), sqrt(t) e^(2 pi i u3)) with the tent
-    t = 1 - |2 u1 - 1|.  Every shift is an unbiased estimate (L'Ecuyer and
-    Lemieux 2000).  The angles come from per-call tables exp(2 pi i j step),
-    j < `_MC_CHUNK`, rotated by one complex multiply per chunk.  The real and
-    imaginary parts of the points fill the rows of one coordinate-major
-    (m, points) array, the interleaved coordinates of E.  Multiplied by
-    basis, it holds the points of R^n as columns, and
-    `gauge_power(body, X, -m)` scores them in one power.
+    DimensionMismatch).  One fixed set of N = n_samples // 64 points p_k of
+    the unit sphere of R^m is scored in 64 frames basis @ Q_s, where Q_s is
+    a Haar orthogonal matrix drawn from `_philox_streams(seed)`: the QR of
+    a Gaussian m x m matrix with the signs of its columns fixed by diag R,
+    a zero counting as + (Mezzadri, Notices AMS 54, 2007).  Q_s p is uniform
+    on the sphere for every fixed p, so each rotation is an unbiased
+    estimate (a randomized QMC design on the sphere: Brauchart, Saff, Sloan
+    and Womersley, Math. Comp. 83, 2014).  For m = 2 the points are the
+    angles 2 pi k / N, so a rotation turns the rectangle rule by a random
+    angle, up to a reflection; for m = 4 they are the R3 Kronecker points
+    u = frac(k (1/g, 1/g^2, 1/g^3)), g^4 = g + 1 (Niederreiter 1992), mapped
+    to S^3 by Hopf coordinates (sqrt(1 - t) e^(2 pi i u2), sqrt(t) e^(2 pi i u3))
+    with the tent t = 1 - |2 u1 - 1|.  The points are built coordinate-major,
+    `_MC_CHUNK` at a time, and `gauge_power(body, frame @ points, -m)`
+    scores each chunk in each frame.
 
-    Returns (volume, stderr): alpha_m times the mean of the shift means and
-    their standard error over the shifts (63 degrees of freedom), floored at
-    TOL.mc_rounding_rel of the volume, the rounding the spread cannot see.
-    Below 64 samples no shift has a point: the volume is nan and the stderr
-    infinite.  Raises ValueError for n_samples other than an integer >= 1
-    (numpy integers count, 1e5 does not), a seed outside [0, 2**64) or basis
-    columns that are not orthonormal to TOL.geometric, and DimensionMismatch
-    unless basis has body.n rows.
+    Returns (volume, stderr): alpha_m times the mean of the rotation means
+    and their standard error over the rotations (63 degrees of freedom),
+    floored at TOL.mc_rounding_rel of the volume, the rounding the spread
+    cannot see.  Below 64 samples no rotation has a point: the volume is
+    nan and the stderr infinite.  Raises ValueError for n_samples other than
+    an integer >= 1 (numpy integers count, 1e5 does not), a seed outside
+    [0, 2**64) or basis columns that are not orthonormal to TOL.geometric,
+    and DimensionMismatch unless basis has body.n rows.
     """
     try:
         n_samples = operator.index(n_samples)
@@ -162,38 +161,27 @@ def mc_section_volume(
         raise DimensionMismatch(f"section volumes are estimated in dimension 2 or 4, not {m}")
     if np.abs(basis.T @ basis - np.eye(m)).max() > TOL.geometric:
         raise ValueError("basis columns must be orthonormal")
-    n_pts = n_samples // _MC_SHIFTS
+    n_pts = n_samples // _MC_ROTATIONS
     if n_pts == 0:
         return math.nan, math.inf
-    shifts = _philox_streams(seed)(0).random((_MC_SHIFTS, m - 1))
-    step = np.array([1.0 / n_pts]) if m == 2 else _R3_STEP
-    turns = slice(m // 2 - 1, None)  # the coordinates of u that are angles
-    rows = min(n_pts, _MC_CHUNK)
-    group = _MC_CHUNK // rows  # shifts per pass when a shift has fewer points than a chunk
-    offsets = _frac(step[:, None] * np.arange(rows))
-    spins = np.exp(2j * np.pi * offsets[turns])
-    points = np.empty(m * group * rows)  # the real (m, points) array of each pass
-    sums = np.zeros(_MC_SHIFTS)
-    for k0 in range(0, n_pts, rows):
-        take = min(rows, n_pts - k0)
-        for s0 in range(0, _MC_SHIFTS, group):
-            base = _frac(shifts[s0 : s0 + group] + k0 * step)
-            count = len(base)
-            z = spins[:, None, :take] * np.exp(2j * np.pi * base[:, turns]).T[:, :, None]
-            P = points[: m * count * take].reshape(m // 2, 2, count, take)
-            P[:, 0] = z.real
-            P[:, 1] = z.imag
-            del z  # free the complex points before the gauge allocates its temporaries
-            if m == 4:
-                # u1 = base + offset lies in [0, 2), where 1 - tent(frac(u1)) = ||2 u1 - 2| - 1|
-                co_t = np.abs(np.abs(2.0 * base[:, :1] - 2.0 + 2.0 * offsets[0, :take]) - 1.0)
-                P[0] *= np.sqrt(co_t)
-                P[1] *= np.sqrt(1.0 - co_t)
-            y = gauge_power(body, basis @ P.reshape(m, -1), -m)
-            sums[s0 : s0 + count] += y.reshape(count, take).sum(axis=1)
+    q, r = np.linalg.qr(_philox_streams(seed)(0).standard_normal((_MC_ROTATIONS, m, m)))
+    frames = basis @ (q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None])
+    sums = np.zeros(_MC_ROTATIONS)
+    for k0 in range(0, n_pts, _MC_CHUNK):
+        k = np.arange(k0, min(k0 + _MC_CHUNK, n_pts))
+        if m == 2:
+            radii, turns = 1.0, k[None] / n_pts
+        else:
+            u = _R3_STEP[:, None] * k % 1.0
+            t = 1.0 - np.abs(2.0 * u[0] - 1.0)
+            radii, turns = np.sqrt(np.stack((1.0 - t, t)))[:, None], u[1:]
+        angles = 2.0 * np.pi * turns
+        points = (radii * np.stack((np.cos(angles), np.sin(angles)), axis=1)).reshape(m, -1)
+        for s, frame in enumerate(frames):
+            sums[s] += gauge_power(body, frame @ points, -m).sum()
     means = sums / n_pts
     mean = float(means.mean())
-    spread = float(means.std(ddof=1)) / math.sqrt(_MC_SHIFTS)
+    spread = float(means.std(ddof=1)) / math.sqrt(_MC_ROTATIONS)
     a = alpha(m)
     return a * mean, a * max(spread, TOL.mc_rounding_rel * mean)
 
@@ -206,11 +194,11 @@ def bh_density_codim2(
     ``w`` is a simple (n-2)-vector: its lex-ordered coordinate array of
     degree n-2, or, when n = 4, a Bivector.  The spanning subspace is the
     orthogonal complement of the plane of the Hodge-dual bivector, and
-    the section volume is the seeded randomly shifted quasi-Monte Carlo
+    the section volume is the seeded randomly rotated quasi-Monte Carlo
     estimate of `mc_section_volume`, whose standard error (the spread of its
-    64 shift means, 63 degrees of freedom) the density's stderr carries
-    over.  Raises InsufficientSamples below 64 samples, where a shift has no
-    point, and when the standard error exceeds TOL.mc_rel_stderr of the
+    64 rotation means, 63 degrees of freedom) the density's stderr carries
+    over.  Raises InsufficientSamples below 64 samples, where a rotation has
+    no point, and when the standard error exceeds TOL.mc_rel_stderr of the
     volume, and, through `plane_from_bivector`, ZeroBivector or NotSimple for
     a zero or non-simple multivector.
     """
@@ -223,9 +211,10 @@ def bh_density_codim2(
         w = w.coords
     coords = np.asarray(w, dtype=float)
     basis = _orthocomplement(plane_from_bivector(hodge_star_codim(coords, n)))
-    if mc_samples < _MC_SHIFTS:
+    if mc_samples < _MC_ROTATIONS:
         raise InsufficientSamples(
-            f"{mc_samples} samples leave a shift without a point; at least {_MC_SHIFTS} are needed"
+            f"{mc_samples} samples leave a rotation without a point; "
+            f"at least {_MC_ROTATIONS} are needed"
         )
     volume, vol_se = mc_section_volume(body, basis, mc_samples, seed)
     if vol_se > TOL.mc_rel_stderr * volume:

@@ -123,7 +123,7 @@ def _phi_dim6(body: Body, seed: int, start: int, stop: int, samples: int):
     """Codim-2 densities (m, 3) of the Hodge duals of trials start..stop-1, bands and triples.
 
     The band of a trial is three combined standard errors.  Each comes from
-    the spread of 64 shift means, so it has 63 degrees of freedom; three
+    the spread of 64 rotation means, so it has 63 degrees of freedom; three
     standard errors of Student's t with 63 degrees of freedom cover 99.61%
     two-sided (99.73% for a normal), and the combination of the three has at
     least those degrees of freedom.

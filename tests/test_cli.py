@@ -241,7 +241,7 @@ def test_codim2_zero_samples_is_error(capsys):
 
 
 def test_codim2_below_one_point_per_shift_is_error(capsys):
-    # 64 random shifts need at least 64 samples, one point each
+    # 64 random rotations need at least 64 samples, one point each
     args = ["density", "--body", "euclid-n", "--bivector", "1,0,0,0,0,0", "--codim2"]
     assert main(args + ["--mc-samples", "63"]) == 1
     err = capsys.readouterr().err

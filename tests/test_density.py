@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bhdensity as bh
-from bhdensity.bodies import minkowski_many
+from bhdensity import density
+from bhdensity.bodies import gauge_power, minkowski_many
 from bhdensity.density import _MC_CHUNK, _R3_STEP
 from bhdensity.geom import _philox
 from bhdensity.tolerances import TOL
@@ -137,7 +138,7 @@ def test_codim2_rejects_zero_and_non_simple(body_c, n):
 
 
 def test_codim2_insufficient_samples(body_c):
-    # below 64 samples one of the 64 random shifts gets no point
+    # below 64 samples one of the 64 random rotations gets no point
     w = bh.wedge(np.eye(4)[0], np.eye(4)[1])
     for n_samples in (1, 5):
         with pytest.raises(bh.InsufficientSamples):
@@ -170,19 +171,31 @@ def test_mc_volume_parallel_invariance(body_c):
     assert v1 == v2
 
 
+def _rotations(seed, m):
+    """The 64 Haar orthogonal matrices: QR of Gaussians, column signs fixed by diag R."""
+    q, r = np.linalg.qr(_philox(seed).standard_normal((64, m, m)))
+    return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None]
+
+
+def _sphere_points(m, n_pts):
+    """The fixed point set as (n_pts, m) rows, every angle from np.cos and np.sin at once."""
+    k = np.arange(n_pts)[:, None]
+    if m == 2:
+        radii, turns = np.ones((n_pts, 1)), k / n_pts
+    else:
+        u = k * _R3_STEP % 1.0
+        t = 1.0 - np.abs(2.0 * u[:, :1] - 1.0)
+        radii, turns = np.concatenate((np.sqrt(1.0 - t), np.sqrt(t)), axis=1), u[:, 1:]
+    pts = np.stack((radii * np.cos(2 * np.pi * turns), radii * np.sin(2 * np.pi * turns)), axis=-1)
+    return pts.reshape(n_pts, m)
+
+
 def _direct_qmc(body, basis, n_samples, seed):
-    """All points of all 64 shifts at once, their angles from np.cos and np.sin."""
+    """All points of all 64 rotations at once, scored by minkowski_many."""
     m = basis.shape[1]
     n_pts = n_samples // 64
-    step = np.array([1.0 / n_pts]) if m == 2 else _R3_STEP
-    u = (_philox(seed).random((64, 1, m - 1)) + np.arange(n_pts)[:, None] * step) % 1.0
-    if m == 2:
-        radii, turns = np.ones((64, n_pts, 1)), u
-    else:
-        t = 1.0 - np.abs(2.0 * u[..., :1] - 1.0)
-        radii, turns = np.concatenate((np.sqrt(1.0 - t), np.sqrt(t)), axis=-1), u[..., 1:]
-    pts = np.stack((radii * np.cos(2 * np.pi * turns), radii * np.sin(2 * np.pi * turns)), axis=-1)
-    y = minkowski_many(body, pts.reshape(-1, m) @ basis.T) ** -m
+    rotated = _sphere_points(m, n_pts) @ _rotations(seed, m).transpose(0, 2, 1)
+    y = minkowski_many(body, rotated.reshape(-1, m) @ basis.T) ** -m
     means = y.reshape(64, n_pts).mean(axis=1)
     return bh.alpha(m) * means.mean(), bh.alpha(m) * means.std(ddof=1) / 8.0
 
@@ -203,11 +216,11 @@ def test_r3_step_is_the_generalized_golden_ratio():
         (bh.make_euclidean_ball(6), 4, 64 * (_MC_CHUNK + 17)),
         (bh.make_product(bh.make_cross_polytope(4), 2), 4, 64 * 100 + 5),
     ],
-    ids=["complex-lp-m4-chunks", "cross6-m4-grouped", "rotated-cross4-m2-chunks",
-         "complex-lp-m2-grouped", "euclidean6-m4-chunks", "product-m4-grouped"],
+    ids=["complex-lp-m4-chunks", "cross6-m4-one-chunk", "rotated-cross4-m2-chunks",
+         "complex-lp-m2-one-chunk", "euclidean6-m4-chunks", "product-m4-one-chunk"],
 )
 def test_mc_volume_matches_direct_trigonometry_oracle(body, m, n_samples):
-    # the table-rotated chunks must give what the points computed one by one give
+    # the chunked frames must give what all points rotated at once give
     basis, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((body.n, m)))
     vol, se = bh.mc_section_volume(body, basis, n_samples, seed=4)
     ref_vol, ref_se = _direct_qmc(body, basis, n_samples, seed=4)
@@ -215,7 +228,34 @@ def test_mc_volume_matches_direct_trigonometry_oracle(body, m, n_samples):
     assert abs(se - ref_se) <= 1e-13 * ref_vol
 
 
-# two-sided tails of Student's t with 63 degrees of freedom, the shift spread's
+@pytest.mark.parametrize(
+    "body, m",
+    [(bh.make_complex_lp(1.5, 3), 4), (bh.make_rotated_cross_polytope(), 2)],
+    ids=["complex-lp-m4", "rotated-cross4-m2"],
+)
+def test_mc_volume_scores_each_chunk_in_each_frame(monkeypatch, body, m):
+    # chunk by chunk, one gauge call per frame, on frame @ points bitwise
+    basis, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((body.n, m)))
+    n_pts = 3 * _MC_CHUNK + 17
+    frames = basis @ _rotations(7, m)
+    points = _sphere_points(m, n_pts)
+    seen = []
+
+    def recording_gauge_power(scored, XT, q):
+        chunk, s = divmod(len(seen), 64)
+        k0 = chunk * _MC_CHUNK
+        expected = frames[s] @ np.ascontiguousarray(points[k0 : k0 + _MC_CHUNK].T)
+        seen.append((XT.shape[1], np.array_equal(XT, expected)))
+        return gauge_power(scored, XT, q)
+
+    monkeypatch.setattr(density, "gauge_power", recording_gauge_power)
+    bh.mc_section_volume(body, basis, 64 * n_pts, seed=7)
+    assert len(seen) == 4 * 64
+    assert all(cols <= _MC_CHUNK and same for cols, same in seen)
+    assert sum(cols for cols, _ in seen) == 64 * n_pts
+
+
+# two-sided tails of Student's t with 63 degrees of freedom, the rotation spread's
 _T63_TAIL = {1.0: 0.32114, 3.0: 0.0038638}
 
 
@@ -236,7 +276,7 @@ def _check_coverage(z):
 
 
 def test_codim2_coverage_on_rotated_cross4(body_c):
-    # m = 2: the shifted rectangle rule's spread against the exact 2-density
+    # m = 2: the rotated rectangle rule's spread against the exact 2-density
     gen = np.random.default_rng(77)
     z = []
     for i in range(300):
@@ -303,10 +343,11 @@ def test_mc_volume_below_one_point_per_shift():
     assert math.isnan(vol) and se == math.inf
 
 
-def test_codim2_rounding_floor():
+@pytest.mark.parametrize("m", [2, 4], ids=["m2", "m4"])
+def test_codim2_rounding_floor(m):
     # on a Euclidean ball every point scores 1 up to rounding, which the spread misses
     ball = bh.make_euclidean_ball(6)
-    basis, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 4)))
+    basis, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, m)))
     vol, se = bh.mc_section_volume(ball, basis, 64 * 1000, seed=1)
     assert se == TOL.mc_rounding_rel * vol
-    assert abs(vol - bh.alpha(4)) <= 3.0 * se
+    assert abs(vol - bh.alpha(m)) <= 3.0 * se
