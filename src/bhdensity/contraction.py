@@ -19,12 +19,13 @@ gap in closed form through the four coordinate planes whose f is -a, -b, c
 or d.
 """
 
-import itertools
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bodies import AbsSumBody, Body, SmoothBody
 from .errors import CertificateFailed, DegenerateSpan, DimensionMismatch, IllConditioned, InvalidId
@@ -344,7 +345,7 @@ def _build_family(body: Body, eps_set, extra_planes: int, seed: int):
     planes = [named_plane(9)]
     for eps in eps_set:
         for idx in range(1, 9):
-            labels.append(f"v{idx}:{eps:g}")
+            labels.append(f"v{idx}:{eps}")
             planes.append(named_plane(idx, eps))
     for lbl, pl in _vertex_planes(body):
         labels.append(lbl)
@@ -365,19 +366,21 @@ def _plane_tables(body: Body, planes):
 _WITNESS_TIE = 1e-12
 _TABLE = 1 << 20  # (lattice point, plane) entries per chunk of a table
 
-# corner k of a cell [lo, hi] takes hi on the axes where _CORNERS[k] is 1, and
-# child k of a split cell takes the upper half there
-_CORNERS = np.array(list(itertools.product((0, 1), repeat=4)))
-# point q of a split cell's lattice (lo, mid, hi) takes entry _LATTICE[q] on each axis
-_LATTICE = np.array(list(itertools.product((0, 1, 2), repeat=4)))
+
+@functools.cache
+def _window(k):
+    """The k^4 points of {0, ..., k - 1}^4, (k^4, 4), in C order; for k = 2 the
+    corners of a cell, corner q taking hi on the axes where it is 1."""
+    return np.indices((k,) * 4).reshape(4, -1).T
 
 
-def _corner_gaps(f_min, f_max, areas, w0_area):
-    """Least gap of each plane over a cell whose corner factors span [f_min, f_max].
-
-    f has degree at most one in each parameter, so that is its range on the
-    cell; unless the corners share a sign, f vanishes in the cell."""
-    return areas * np.maximum(np.maximum(f_min, -f_max), 0.0) - w0_area
+def _cells(vals):
+    """The ends (lo, hi), each (cells, 4), of the cells of the lattices ``vals``
+    (lattices, 4, k), lattice by lattice in C order: for a lattice (lo, mid, hi)
+    its 16 children, child q taking the upper half where corner q takes hi.
+    ``vals`` may hold grid indices or parameter values."""
+    w = _window(vals.shape[2] - 1)
+    return vals[:, np.arange(4), w].reshape(-1, 4), vals[:, np.arange(4), w + 1].reshape(-1, 4)
 
 
 def _gaps(a, b, c, d, P, areas, w0_area):
@@ -388,8 +391,8 @@ def _gaps(a, b, c, d, P, areas, w0_area):
 
 
 def _lattice_bounds(vals, P, areas, w0_area):
-    """``_corner_gaps`` of the cells of the lattices ``vals`` over the planes of
-    the Plucker table ``P``, and the best gap at each lattice point.
+    """Least gap of each plane of the Plucker table ``P`` over each cell of the
+    lattices ``vals``, and the best gap at each lattice point.
 
     ``vals`` (lattices, 4, k) holds each lattice's k values along the axes a,
     b, c, d; its cells are the (k - 1)^4 boxes between neighbouring values,
@@ -411,7 +414,23 @@ def _lattice_bounds(vals, P, areas, w0_area):
         head, tail = ((slice(None),) * t + (s,) for s in (slice(None, -1), slice(1, None)))
         f_min = np.minimum(f_min[head], f_min[tail])
         f_max = np.maximum(f_max[head], f_max[tail])
-    return _corner_gaps(f_min, f_max, areas, w0_area).reshape(-1, areas.size), best
+    # f has degree at most one in each parameter, so [f_min, f_max] is its range on the
+    # cell; unless the corners share a sign, f vanishes in the cell
+    lower = areas * np.maximum(np.maximum(f_min, -f_max), 0.0) - w0_area
+    return lower.reshape(-1, areas.size), best
+
+
+def _score(vals, P, areas, w0_area):
+    """`_lattice_bounds` of the lattices ``vals`` (lattices, 4, k), in chunks
+    whose f table stays within ``_TABLE`` entries: each cell's bound (its
+    planes' best least gap) and the first plane reaching it, in `_cells`
+    order, and the best gap at every lattice point (lattices, k, k, k, k)."""
+    rows = max(1, _TABLE // (vals.shape[2] ** 4 * areas.size))
+    parts = []
+    for s in range(0, vals.shape[0], rows):
+        lower, best = _lattice_bounds(vals[s:s + rows], P, areas, w0_area)
+        parts.append((lower.max(axis=1), lower.argmax(axis=1), best))
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def _grid_minimum(axes, P, areas, w0_area, allowance):
@@ -419,86 +438,61 @@ def _grid_minimum(axes, P, areas, w0_area, allowance):
     -w0_area, on the grid ``axes``^4, by branch and bound over cells of grid
     indices.
 
-    From [0, g - 1]^4, a cell [lo, hi] is split at mid = (lo + hi) // 2, and
-    `_lattice_bounds` scores the lattice ``axes[(lo, mid, hi)]`` and bounds
-    its 16 children, in chunks of lattices whose f table stays within
-    ``_TABLE`` entries.  U, the least value at any lattice point so far, is
-    kept with its least index.  A child is split in turn only if its bound
-    less ``allowance`` is at most U and it spans two grid steps on some axis;
-    otherwise every grid point in it is one of its corners, already scored.  A
-    child zero steps wide on some axis is dropped too: its sibling holds it.
-    Every lattice point carries the bits of `_gaps`, and every grid point the
-    search skips lies in a cell whose bound, less the allowance, exceeds U,
-    so the value there exceeds U: the index and value are bitwise those of a
-    full scan.
+    Each level splits its cells [lo, hi] at mid = (lo + hi) // 2 and
+    `_score`s the lattices ``axes[(lo, mid, hi)]``.  U, the least lattice
+    point value so far, is kept with its least index.  At the level's end a
+    child is split in turn only if its bound less ``allowance`` is at most U,
+    it spans two grid steps on some axis (else its grid points are its scored
+    corners) and zero steps on none (its sibling holds it).  U only falls, so
+    every grid point the search skips lies above the final U: the index and
+    value are bitwise those of a full scan, whatever the chunks of `_score`.
     """
     shape = (axes.size,) * 4
     lo, hi = np.zeros((1, 4), dtype=np.intp), np.full((1, 4), axes.size - 1)
-    rows = max(1, _TABLE // (81 * areas.size))
     best, best_idx = np.inf, -1
     while lo.shape[0]:
         idx = np.stack((lo, (lo + hi) // 2, hi), axis=-1)
-        kept = []
-        for s in range(0, idx.shape[0], rows):
-            chunk = idx[s:s + rows]
-            lower, gaps = _lattice_bounds(axes[chunk], P, areas, w0_area)
-            values = np.maximum(gaps, -w0_area).ravel()
-            least = values.min()
-            if least <= best:
-                points = chunk[:, np.arange(4), _LATTICE].reshape(-1, 4)[values == least]
-                at = np.ravel_multi_index(points.T, shape).min()
-                best, best_idx = min((best, best_idx), (float(least), int(at)))
-            child_lo = chunk[:, np.arange(4), _CORNERS].reshape(-1, 4)
-            child_hi = chunk[:, np.arange(4), _CORNERS + 1].reshape(-1, 4)
-            steps = child_hi - child_lo
-            keep = ((lower.max(axis=1) - allowance <= best)
-                    & (steps.max(axis=1) >= 2) & (steps.min(axis=1) >= 1))
-            kept.append((child_lo[keep], child_hi[keep]))
-        lo, hi = (np.concatenate(part) for part in zip(*kept))
+        bound, _, gaps = _score(axes[idx], P, areas, w0_area)
+        values = np.maximum(gaps, -w0_area).ravel()
+        least = values.min()
+        if least <= best:
+            points = idx[:, np.arange(4), _window(3)].reshape(-1, 4)[values == least]
+            at = np.ravel_multi_index(points.T, shape).min()
+            best, best_idx = min((best, best_idx), (float(least), int(at)))
+        lo, hi = _cells(idx)
+        steps = hi - lo
+        keep = (bound - allowance <= best) & (steps.max(axis=1) >= 2) & (steps.min(axis=1) >= 1)
+        lo, hi = lo[keep], hi[keep]
     return best_idx, best
 
 
 def _bisect(lo, hi, P, areas, w0_area, threshold, allowance, budget):
     """Split the cells [lo, hi] into 16 until all clear ``threshold``.
 
-    A level bounds the cells of its lattices with `_lattice_bounds`, in
-    chunks of lattices whose f table stays within ``_TABLE`` entries: the
-    first level's lattices are the cells' ends (lo, hi), and a split cell's
-    16 children are the cells of its lattice (lo, mid, hi), in `_CORNERS`
-    order, sharing 81 corners.  Each level keeps the cells that clear as
-    verified and splits the others.  Returns the cell count per level and the
-    verified cells (lo, hi, bound, witness), level by level; a cell's witness
-    is the first plane of largest ``_corner_gaps`` on it.  Raises
+    Each level `_score`s its lattices: the first level's are the cells' ends
+    (lo, hi), and a split cell's 16 children are the `_cells` of its lattice
+    (lo, mid, hi), sharing 81 corners.  Each level keeps the cells that clear
+    as verified and splits the others.  Returns the cell count per level and
+    the verified cells (lo, hi, bound, witness), level by level; a cell's
+    witness is the first plane of largest least gap on it.  Raises
     CertificateFailed, without a gap table, at the least corner best gap of a
-    level that does not clear the threshold, the first in (cell, `_CORNERS`)
+    level that does not clear the threshold, the first in (cell, corner)
     order, or at the open cell of least bound before more than ``budget``
     cells or a split below float resolution.
     """
     counts, verified_cells = [], []
     vals = np.stack((lo, hi), axis=-1)
     while True:
-        k = vals.shape[2]
-        window = np.indices((k - 1,) * 4).reshape(4, -1).T  # each cell's least lattice index
-        rows = max(1, _TABLE // (k**4 * areas.size))
-        bounds = np.empty(vals.shape[0] * window.shape[0])
-        witness = np.empty(bounds.size, dtype=np.intp)
-        failed = None
-        for s in range(0, vals.shape[0], rows):
-            lower, best = _lattice_bounds(vals[s:s + rows], P, areas, w0_area)
-            least = best.min()
-            if least <= threshold and (failed is None or least < failed[1]):
-                # corner q of cell w is the lattice point w + q
-                at = best[(slice(None),) + tuple((window[:, None] + _CORNERS).transpose(2, 0, 1))]
-                n, w, q = np.unravel_index(int(np.argmin(at)), at.shape)
-                failed = vals[s + n, np.arange(4), window[w] + _CORNERS[q]], least
-            cells = slice(s * window.shape[0], s * window.shape[0] + lower.shape[0])
-            witness[cells] = lower.argmax(axis=1)
-            bounds[cells] = lower.max(axis=1) - allowance
-        if failed is not None:
-            raise CertificateFailed(*failed, reason="bisection corner")
-        lo = vals[:, np.arange(4), window].reshape(-1, 4)
-        hi = vals[:, np.arange(4), window + 1].reshape(-1, 4)
+        bounds, witness, best = _score(vals, P, areas, w0_area)
+        lo, hi = _cells(vals)
+        if best.min() <= threshold:
+            # corner q of a cell is the lattice point at its least index plus q
+            corners = sliding_window_view(best, (2,) * 4, axis=(1, 2, 3, 4)).reshape(-1, 16)
+            c, q = divmod(int(np.argmin(corners)), 16)
+            raise CertificateFailed(np.where(_window(2)[q], hi[c], lo[c]), corners[c, q],
+                                    reason="bisection corner")
         counts.append(int(lo.shape[0]))
+        bounds -= allowance
         verified = bounds > threshold
         verified_cells.append((lo[verified], hi[verified], bounds[verified], witness[verified]))
         lo, hi, bounds = lo[~verified], hi[~verified], bounds[~verified]
@@ -527,26 +521,27 @@ def certify_no_contraction(
 ) -> Certificate:
     """Certify a witness gap above ``gap_threshold`` at every projection (a, b, c, d).
 
-    `_grid_minimum` finds the least best gap on the grid with grid_n points
-    per axis on [-R, R]^4 by branch and bound on the same corner bounds:
-    cells of grid indices are split from the whole grid, and a cell is
-    dropped once its bound, less the allowance below, exceeds U, the least
-    best gap at any grid point scored so far.  The allowance covers the
-    rounding of a grid point's best gap and of the cell's bound, so every
-    point the search skips lies above U, and U is a grid value: the result is
-    bitwise that of a full scan.  Only if the grid minimum clears the
-    threshold is the box [-R, R]^4 bisected from a single cell
-    (``_bisect``), within (grid_n - 1)^4 cells, until every cell's best
-    ``_corner_gaps`` clears it; each split bounds its 16 children at once
-    from their 81 shared corners (``_lattice_bounds``).  Outside the box some
-    |parameter| exceeds R, so the coordinate planes whose f is that parameter
-    bound every gap by min_k A_k * R - w0_area.
+    Both searches score each level of lattices with `_score`, one chunked
+    pass of the corner-bound kernel `_lattice_bounds`, and cut lattices into
+    cells with `_cells`.  `_grid_minimum` finds the least best gap on the
+    grid with grid_n points per axis on [-R, R]^4 by branch and bound: cells
+    of grid indices are split from the whole grid, and at the end of each
+    level a cell is dropped once its bound, less the allowance below,
+    exceeds U, the least best gap at any grid point scored so far.  The
+    allowance covers the rounding of a grid point's best gap and of the
+    cell's bound, so the result is bitwise that of a full scan, whatever the
+    chunk size.  Only if the grid minimum clears the threshold is the box
+    [-R, R]^4 bisected from a single cell (`_bisect`), within
+    (grid_n - 1)^4 cells, until every cell's bound clears it; a split cell's
+    16 children are bounded from their 81 shared corners.  Outside the box
+    some |parameter| exceeds R, so the coordinate planes whose f is that
+    parameter bound every gap by min_k A_k * R - w0_area.
 
-    A verified cell's witness is the first plane with the cell's largest
-    ``_corner_gaps``; ``witness_counts`` counts the verified cells by
-    witness, and the least verified cell, the first in level order, is the
-    worst cell's refined cell.  The grid minimum's witness is the first
-    plane within ``_WITNESS_TIE`` of the best gap there.
+    A verified cell's witness is the first plane of the cell's largest
+    least gap; ``witness_counts`` counts the verified cells by witness, and
+    the least verified cell, the first in level order, is the worst cell's
+    refined cell.  The grid minimum's witness is the first plane within
+    ``_WITNESS_TIE`` of the best gap there.
 
     Bounds are lowered by the allowance 64 eps (A S + w0_area), with A the
     largest section area used and S = 1 + 4R + 2R^2.  Unit planes have
@@ -579,6 +574,8 @@ def certify_no_contraction(
     eps_set = tuple(sorted(float(e) for e in eps_set))
     if not eps_set or not all(0.0 < e <= 0.2 for e in eps_set):
         raise ValueError("eps_set must be nonempty inside (0, 0.2]")
+    if len(set(eps_set)) < len(eps_set):
+        raise ValueError("eps_set must not repeat a value")
     if not np.isfinite(gap_threshold):
         raise ValueError("gap_threshold must be finite")
     if extra_planes < 0:

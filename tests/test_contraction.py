@@ -333,6 +333,18 @@ def test_certificate_parameter_validation(body_c):
             bh.certify_no_contraction(body_c, box_halfwidth=box)
     with pytest.raises(ValueError, match="extra_planes"):
         bh.certify_no_contraction(body_c, extra_planes=-3)
+    with pytest.raises(ValueError, match="repeat"):
+        bh.certify_no_contraction(body_c, eps_set=(0.05, 0.1, 0.05))
+
+
+def test_family_labels_keep_close_eps_apart(body_c):
+    # 0.1 and 0.1000001 agree to 6 significant digits: each tilt keeps its own label, so
+    # witness_counts counts every verified cell once
+    cert = bh.certify_no_contraction(body_c, grid_n=21, eps_set=(0.02, 0.1, 0.1000001),
+                                     extra_planes=0)
+    assert len(set(cert.family_labels)) == len(cert.family_labels)
+    assert "v1:0.1" in cert.family_labels and "v1:0.1000001" in cert.family_labels
+    assert sum(cert.witness_counts.values()) == cert.cell_witness.size
 
 
 @pytest.mark.parametrize("box", [1e154, 1e200])
@@ -634,7 +646,7 @@ def test_grid_passes_match_corner_kernel_bitwise(lattices, block):
     # the lattice kernel adds tables of G and a H; every lattice point must carry the bits
     # of _signed_factors there, before any allowance is subtracted; up to three lattices of
     # 5 values per axis, different on each axis, scored in one call or one call per lattice,
-    # as the chunks of _grid_minimum and _bisect split them, with the same bits either way
+    # as the chunks of _score split a level, with the same bits either way
     P, areas = _small_family()
     axes, w0_area = np.linspace(-4.0, 4.0, 5), 1.2
     vals = np.stack((np.stack((axes, 0.5 * axes + 0.25, -axes, axes ** 3 / 16.0)),
@@ -681,20 +693,35 @@ def _allowance(axes, areas, w0_area):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", ["rotated-cross4", "euclid-n4", "cross4", "random-abs-sum-0"])
-def test_grid_minimum_matches_full_scan(name, seed):
-    # the pruned search finds the full family's first argmin and its value, bit for bit
+def test_grid_minimum_matches_full_scan(name, seed, monkeypatch):
+    # the pruned search finds the full family's first argmin and its value, bit for bit, and
+    # scores the same lattices whether a chunk holds a whole level or one lattice
     body = {"rotated-cross4": bh.make_rotated_cross_polytope,
             "euclid-n4": lambda: bh.make_euclidean_ball(4),
             "cross4": lambda: bh.make_cross_polytope(4),
             "random-abs-sum-0": lambda: random_abs_sum_body(0)}[name]()
     P, areas, w0_area = _family_tables(body, (0.02, 0.05, 0.1), 64, seed)
+    kernel, scored = contraction._lattice_bounds, []
+
+    def counting(vals, *args):
+        scored.append(vals.shape[0])
+        return kernel(vals, *args)
+
+    monkeypatch.setattr(contraction, "_lattice_bounds", counting)
     for grid_n in (21, 25, 33):
         axes = np.linspace(-4.0, 4.0, grid_n)
-        idx, value = contraction._grid_minimum(axes, P, areas, w0_area,
-                                               _allowance(axes, areas, w0_area))
         want_idx, want_value = _full_grid_minimum(axes, P, areas, w0_area)
-        assert idx == want_idx
-        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        counts = []
+        for table in (contraction._TABLE, 81 * areas.size):
+            with monkeypatch.context() as patch:
+                patch.setattr(contraction, "_TABLE", table)
+                scored.clear()
+                idx, value = contraction._grid_minimum(axes, P, areas, w0_area,
+                                                       _allowance(axes, areas, w0_area))
+            assert idx == want_idx
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            counts.append(sum(scored))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("chunk_points", [None, 3], ids=["one-chunk", "chunks-of-3"])
