@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -328,3 +329,44 @@ def test_least_area_section_sampled(body_c):
     V = np.array([p.v for p in planes])
     areas = bh.abs_sum_section_areas(body_c.functionals, U, V)
     assert areas.min() >= W0_AREA - 1e-9
+
+
+def _fan_inputs(k, planes):
+    # restricted functionals of a seeded k-functional abs-sum body on `planes` random planes;
+    # functional 1 is parallel to functional 0 on rows 0, 3, 6, ..., functional 3 antiparallel
+    # to functional 2 on rows 1, 6, 11, ... and functional 2 vanishes on rows 2, 9, 16, ...
+    gen = np.random.default_rng(k)
+    L = bh.AbsSumBody(gen.standard_normal((k, 4))).functionals
+    A, Bc = (sections._restrict(L, X) for X in gen.standard_normal((2, planes, 4)))
+    for X in (A, Bc):
+        X[::3, 1] = 2.5 * X[::3, 0]
+        X[1::5, 3] = -X[1::5, 2]
+        X[2::7, 2] = 0.0
+    return A, Bc
+
+
+def _fan_digest(results):
+    h = hashlib.sha256()
+    for areas, z, keep in results:
+        h.update(areas.tobytes() + z.tobytes() + keep.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "k, batch_digest, row_digest",
+    [
+        (4, "f29dfe2ef1d63d773772e80382b316fab2f0d8bc722c117053d496558da8f46c",
+         "9a09fda8a45381ede43fb3b274adfa777f9225248bfca5d3f9ff213d34e55e4d"),
+        (8, "489677add68d58b142fd0037ab372c7e15dc5dca17f0c9f28f241a7a86d2c6e0",
+         "fb9e3ee73eafd67161d4f17c3097ad4df31b5c51f89954430718b6ded22a5d2c"),
+        (12, "30b55d12cdfb00e8b4f5049dfdcaf92c52de877964c823d8fe769e09dbba2ca3",
+         "912b3849b8b6c1cde29bc4d1d784997473a24f44a0d6d95892d532992007211d"),
+    ],
+)
+def test_section_fan_bits_are_pinned(k, batch_digest, row_digest):
+    # areas, sorted boundary points and vertex masks of 3,072 planes in one call, and of the
+    # first 4 planes one call each, against digests of the kernel's bits
+    A, Bc = _fan_inputs(k, 3072)
+    assert _fan_digest([sections.section_fan(A, Bc)]) == batch_digest
+    rows = [sections.section_fan(A[i : i + 1], Bc[i : i + 1]) for i in range(4)]
+    assert _fan_digest(rows) == row_digest
