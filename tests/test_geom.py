@@ -254,6 +254,19 @@ def test_philox_streams_are_fresh_philox_streams(seed):
         gen.integers(0, 10, size=3, dtype=np.uint32)
 
 
+def test_philox_stream_closures_share_no_state():
+    # two kernels of different seeds, requested alternately: each keeps its own seed and
+    # builds each stream fresh, whatever the other drew in between
+    kernels = {5: _philox_streams(5), 2**64 - 1: _philox_streams(2**64 - 1)}
+    for seed, stream in [(5, None), (2**64 - 1, 2**64 - 1), (5, 2**64 - 1), (2**64 - 1, None),
+                         (5, 3), (2**64 - 1, 0)]:
+        gen = kernels[seed](stream)
+        assert _philox_state_bits(gen) == _philox_state_bits(_philox(seed, stream))
+        assert (gen.standard_normal(9).tobytes()
+                == _philox(seed, stream).standard_normal(9).tobytes())
+        gen.integers(0, 10, size=3, dtype=np.uint32)
+
+
 def test_philox_stream_callers_refuse_out_of_range_seeds():
     basis = np.eye(4)[:, :2]
     for value in (-1, 2**64):
