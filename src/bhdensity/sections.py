@@ -68,12 +68,44 @@ def _restrict(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Values X[b] . L[j] as an (n_rows, k) array, summed coordinate by coordinate.
 
     BLAS rounds gemv and gemm differently; this sum gives a row the same bits in any batch.
+    The array is the transpose of a contiguous (k, n_rows) one, the layout `section_fan`
+    works in.
     """
     X = X.T
     out = L[:, :1] * X[0]
     for i in range(1, L.shape[1]):
         out += L[:, i : i + 1] * X[i]
-    return np.ascontiguousarray(out.T)
+    return out.T
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of the rows x[0], x[1], ... in the pairwise order numpy sums a contiguous run.
+
+    So each entry gets the bits of summing its column as one contiguous row.
+    numpy adds fewer than 8 numbers in turn.  Up to 128 it keeps 8 running
+    sums of every 8th number, folds them as ((s0 + s1) + (s2 + s3)) +
+    ((s4 + s5) + (s6 + s7)) and adds the leftover numbers in turn.  Longer
+    runs it splits in two at a multiple of 8.  numpy's own sum over fewer
+    than 8 rows is in turn too.  The entries must not be -0.0, whose sum's
+    sign could differ.  Overwrites rows of x.
+    """
+    n = len(x)
+    if n < 8:
+        return np.add.reduce(x, 0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    m = n - n % 8
+    for i in range(8, m, 8):
+        x[:8] += x[i : i + 8]
+    s = x[0:8:2] + x[1:8:2]
+    # the two halves go over the last used rows, so the leftovers follow them in turn
+    np.add(s[0::2], s[1::2], out=x[m - 2 : m])
+    tail = x[m - 2 :]
+    while len(tail) >= 8:
+        tail[6] = np.add.reduce(tail[:7], 0)
+        tail = tail[6:]
+    return np.add.reduce(tail, 0)
 
 
 def section_fan(A: np.ndarray, Bc: np.ndarray):
@@ -89,26 +121,35 @@ def section_fan(A: np.ndarray, Bc: np.ndarray):
     and the mask of the first copy of each point, which are the polygon's
     vertices, counterclockwise.  Raises UnboundedSection when some plane's
     functionals do not span its dual.
+
+    The k x k work runs on (k, k, planes) arrays, the plane axis innermost and
+    contiguous when A and Bc come from `_restrict`; the gauge sums add in
+    numpy's pairwise order of a row, so a plane's bits do not depend on the
+    layout or the batch.  The angle sort, the gathers and the shoelace sum
+    run on contiguous (planes, 2k) rows.  Reductions call the ufuncs, not the
+    array methods, whose Python wrappers would weigh on one-plane calls.
     """
     B, k = A.shape
-    C = A + 1j * Bc
+    C = A.T + 1j * Bc.T
     h = np.abs(C)
     live = h > 0.0
-    cross = np.abs((C.conj()[:, :, None] * C[:, None, :]).imag)  # Im(conj(c_i) c_j) = cross_ij
-    parallel = (cross <= TOL.geometric * h[:, :, None] * h[:, None, :]) & live[:, :, None]
-    rep = parallel.argmax(axis=1)
-    lead = (rep == np.arange(k)) & live
-    if (lead.sum(axis=1) < 2).any():
+    cross = np.abs((C.conj() * C[:, None]).imag)  # [j, i] = |Im(conj(c_i) c_j)| = |cross_ij|
+    parallel = (cross <= TOL.geometric * h * h[:, None]) & live
+    rep = parallel.T.argmax(axis=1)  # rep[b, j]: the first live c_i parallel to c_j
+    lead = (rep == np.arange(k)) & live.T
+    if np.minimum.reduce(np.add.reduce(lead, 1)) < 2:
         raise UnboundedSection("functionals restricted to the plane do not span")
-    gauge = cross.sum(axis=2)
-    rows = np.arange(B)[:, None]
-    z = 1j * C[rows, rep] / gauge[rows, rep]
+    gauge = _pairwise_sum(cross)
+    at = rep * B + np.arange(B)[:, None]  # flat (k, planes) indices of the points' functionals
+    z = 1j * C.ravel()[at] / gauge.ravel()[at]
     z = np.concatenate((z, -z), axis=1)
-    order = np.argsort(np.arctan2(z.imag, z.real), axis=1, kind="stable")
-    z = z[rows, order]
-    keep = np.concatenate((lead, lead), axis=1)[rows, order]
+    order = np.arctan2(z.imag, z.real).argsort(axis=1, kind="stable")
+    order += np.arange(0, 2 * k * B, 2 * k)[:, None]  # flat indices into the (planes, 2k) rows
+    keep = np.concatenate((lead, lead), axis=1).ravel()[order]
+    z = z.ravel()[order]
     # shoelace sum over the closed cycle of sorted points
-    twice = (z[:, :-1].conj() * z[:, 1:]).imag.sum(axis=1) + (z[:, -1].conj() * z[:, 0]).imag
+    zc = z.conj()
+    twice = np.add.reduce((zc[:, :-1] * z[:, 1:]).imag, 1) + (zc[:, -1] * z[:, 0]).imag
     return 0.5 * np.abs(twice), z, keep
 
 

@@ -331,6 +331,15 @@ def test_least_area_section_sampled(body_c):
     assert areas.min() >= W0_AREA - 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 13, 14, 15, 16, 23, 64, 127, 128, 129, 300])
+def test_pairwise_sum_is_numpy_row_sum(n):
+    # rows of (n, 3, 5) nonnegative numbers of many magnitudes, summed over axis 0, against
+    # numpy's sum of each column laid out as one contiguous row
+    x = np.random.default_rng(n).standard_normal((n, 3, 5)) ** 2 * 10.0 ** np.arange(-7, 8)[:5]
+    rows = np.ascontiguousarray(x.transpose(1, 2, 0))
+    assert sections._pairwise_sum(x.copy()).tobytes() == rows.sum(axis=-1).tobytes()
+
+
 def _fan_inputs(k, planes):
     # restricted functionals of a seeded k-functional abs-sum body on `planes` random planes;
     # functional 1 is parallel to functional 0 on rows 0, 3, 6, ..., functional 3 antiparallel
