@@ -34,7 +34,7 @@ from .geom import (
 )
 from .sections import section_areas
 
-_CHUNK = 4096  # trials per array pass of a scan
+_CHUNK = 3072  # trials per array pass of a scan: 9,216 section planes
 
 
 @dataclass(frozen=True)
