@@ -122,8 +122,11 @@ def parse_plane(text: str, n: int) -> Plane2:
 def _write(args, text: str):
     """Write a report to --out, or to stdout without one."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

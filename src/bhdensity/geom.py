@@ -218,8 +218,7 @@ def plucker_defect(w: Bivector) -> float:
     """Simplicity defect; zero exactly when the bivector is decomposable.
 
     For n = 4 this is the Plucker quadric p12*p34 - p13*p24 + p14*p23
-    (signed); for other dimensions it is the Euclidean norm of w ^ w, whose
-    squared coordinates are summed in the lex order of the 4-subsets.
+    (signed); for other dimensions it is the Euclidean norm of w ^ w.
     """
     c = w.coords
     if w.n == 4:
@@ -228,10 +227,7 @@ def plucker_defect(w: Bivector) -> float:
     i, j, k, l = np.array(list(combinations(range(w.n), 4)), dtype=int).reshape(-1, 4).T
     val = (c[index[i, j]] * c[index[k, l]] - c[index[i, k]] * c[index[j, l]]
            + c[index[i, l]] * c[index[j, k]])
-    total = 0.0
-    for t in 2.0 * val:
-        total += t**2  # a scalar power, as np.square may differ in the last bit
-    return float(np.sqrt(total))
+    return float(np.linalg.norm(2.0 * val))
 
 
 def check_seed(seed, stream=None) -> None:

@@ -78,36 +78,6 @@ def _restrict(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of the rows x[0], x[1], ... in the pairwise order numpy sums a contiguous run.
-
-    So each entry gets the bits of summing its column as one contiguous row.
-    numpy adds fewer than 8 numbers in turn.  Up to 128 it keeps 8 running
-    sums of every 8th number, folds them as ((s0 + s1) + (s2 + s3)) +
-    ((s4 + s5) + (s6 + s7)) and adds the leftover numbers in turn.  Longer
-    runs it splits in two at a multiple of 8.  numpy's own sum over fewer
-    than 8 rows is in turn too.  The entries must not be -0.0, whose sum's
-    sign could differ.  Overwrites rows of x.
-    """
-    n = len(x)
-    if n < 8:
-        return np.add.reduce(x, 0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    m = n - n % 8
-    for i in range(8, m, 8):
-        x[:8] += x[i : i + 8]
-    s = x[0:8:2] + x[1:8:2]
-    # the two halves go over the last used rows, so the leftovers follow them in turn
-    np.add(s[0::2], s[1::2], out=x[m - 2 : m])
-    tail = x[m - 2 :]
-    while len(tail) >= 8:
-        tail[6] = np.add.reduce(tail[:7], 0)
-        tail = tail[6:]
-    return np.add.reduce(tail, 0)
-
-
 def section_fan(A: np.ndarray, Bc: np.ndarray):
     """Exact sections {(x, y) : sum_j |A_j x + Bc_j y| <= 1} for a batch of planes.
 
@@ -123,9 +93,9 @@ def section_fan(A: np.ndarray, Bc: np.ndarray):
     functionals do not span its dual.
 
     The k x k work runs on (k, k, planes) arrays, the plane axis innermost and
-    contiguous when A and Bc come from `_restrict`; the gauge sums add in
-    numpy's pairwise order of a row, so a plane's bits do not depend on the
-    layout or the batch.  The angle sort, the gathers and the shoelace sum
+    contiguous when A and Bc come from `_restrict`.  numpy's reduction over the
+    leading axis adds each gauge's k terms one at a time, so a plane's bits do
+    not depend on the batch.  The angle sort, the gathers and the shoelace sum
     run on contiguous (planes, 2k) rows.  Reductions call the ufuncs, not the
     array methods, whose Python wrappers would weigh on one-plane calls.
     """
@@ -139,7 +109,7 @@ def section_fan(A: np.ndarray, Bc: np.ndarray):
     lead = (rep == np.arange(k)) & live.T
     if np.minimum.reduce(np.add.reduce(lead, 1)) < 2:
         raise UnboundedSection("functionals restricted to the plane do not span")
-    gauge = _pairwise_sum(cross)
+    gauge = np.add.reduce(cross, 0)
     at = rep * B + np.arange(B)[:, None]  # flat (k, planes) indices of the points' functionals
     z = 1j * C.ravel()[at] / gauge.ravel()[at]
     z = np.concatenate((z, -z), axis=1)

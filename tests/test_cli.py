@@ -172,6 +172,22 @@ def test_malformed_body_file_is_error(content, tmp_path, capsys):
     assert err.startswith(("error:", "usage error:")) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["section", "--body", "rotated-cross4", "--plane", "w0"],
+        ["lemmas", "--eps-grid", "0.002,0.004,0.01,0.02"],
+    ],
+    ids=["section", "lemmas"],
+)
+def test_unwritable_out_path_is_usage_error(args, target, tmp_path, capsys):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: cannot write report")
+
+
 @pytest.mark.parametrize("proj", ["1,2,3", "1,2,3,4,5", "0,0,nan,0", "inf,0,0,0"])
 def test_gap_proj_needs_four_finite_numbers(proj, capsys):
     assert main(["gap", "--body", "rotated-cross4", "--proj", proj, "--plane", "v9"]) == 1
